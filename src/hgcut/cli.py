@@ -99,7 +99,6 @@ def cmd_solve(args) -> int:
         algo = "heicut-lp"
     config = {
         "algo": algo,
-        "threshold": args.threshold,
         "solver": args.solver,
         "seed": args.seed,
         "time_limit": args.time_limit,
@@ -123,7 +122,6 @@ def cmd_solve(args) -> int:
         if algo in ("heicut", "heicut-lp"):
             pipeline = PipelineConfig(
                 use_lp=(algo == "heicut-lp"),
-                vertex_threshold=args.threshold,
                 seed=args.seed,
                 solver=args.solver,
                 want_partition=want_partition,
@@ -400,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance", help="hMetis-format hypergraph file")
     solve.add_argument("--algo", choices=ALGORITHMS, default="heicut")
     solve.add_argument("--use-lp", action="store_true", help="enable label-propagation contraction")
-    solve.add_argument("--threshold", type=int, default=1000, help="stop reducing at this vertex count")
     solve.add_argument("--solver", choices=("exact", "bip"), default="exact", help="residual solver")
     solve.add_argument("--mode", choices=("pairwise", "representative"), default="pairwise")
     solve.add_argument("--seed", type=int, default=0)

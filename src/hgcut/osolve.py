@@ -9,9 +9,12 @@ isolates it, and it is a minimum cut separating the last two vertices, so
 contracting those two vertices and repeating over n-1 phases yields the
 global minimum.
 
-Integer-weighted instances use a bucket priority queue; anything else
-falls back to a lazy binary heap.  Ties are broken toward the smallest
-vertex id so runs are reproducible.
+All phases run on one mutable incidence structure built once per solve;
+merging the last two vertices costs the degree of the merged-away vertex,
+not a rebuild.  The survivor keeps the smaller id, so live vertices keep
+their relative order and ties, broken toward the smallest vertex id, fall
+exactly as they would on a relabelled rebuild.  The priority queue is a
+lazy binary heap, so no weight range makes a phase slower.
 """
 
 from __future__ import annotations
@@ -22,14 +25,11 @@ from typing import Optional
 
 from ._limits import Deadline, SolveTimeout
 from .hgraph import (
-    ContractionLog,
     CutResult,
     Hypergraph,
     PROVENANCE_ORDERING,
     Weight,
-    compact,
     connected_components,
-    contract_set,
 )
 
 __all__ = ["MaOrdering", "ma_ordering", "mincut_ordering", "phase_cut_values"]
@@ -43,90 +43,79 @@ class MaOrdering:
     keys: tuple  # indexed by vertex id; connection weight at selection time
 
 
-def _ma_order_bucket(h: Hypergraph, start: int) -> tuple:
-    n = h.vertex_count
-    key = [0] * n
-    in_order = bytearray(n)
-    touched = bytearray(h.edge_count)
-    buckets = {0: list(range(n))}
-    for b in buckets.values():
-        heapq.heapify(b)
-    curmax = 0
-    order = []
+class _Incidence:
+    """Mutable incidence structure that ordering phases share.
 
-    def absorb(v: int) -> None:
-        in_order[v] = 1
-        order.append(v)
-        nonlocal curmax
-        for eid in h.incident(v):
-            if touched[eid]:
-                continue
-            touched[eid] = 1
-            w = h.weight(eid)
-            for u in h.pins(eid):
-                if not in_order[u]:
-                    k = key[u] + w
-                    key[u] = k
-                    heapq.heappush(buckets.setdefault(k, []), u)
-                    if k > curmax:
-                        curmax = k
+    Hyperedges with fewer than two pins or zero weight are left out: they
+    never connect a vertex to the prefix.  ``in_order`` and ``touched``
+    hold the stamp of the phase that last set them, so no phase clears
+    them.
+    """
 
-    absorb(start)
-    while len(order) < n:
+    def __init__(self, h: Hypergraph) -> None:
+        n = h.vertex_count
+        self.pins = [set(pins) if len(pins) >= 2 and w != 0 else set() for pins, w in h.edges()]
+        self.weights = list(h.edge_weights())
+        self.incident = [set() for _ in range(n)]
+        for eid, pins in enumerate(self.pins):
+            for v in pins:
+                self.incident[v].add(eid)
+        self.members = [[v] for v in range(n)]
+        self.live = list(range(n))  # ascending
+        self.key: list = [0] * n
+        self.in_order = [0] * n
+        self.touched = [0] * h.edge_count
+        self.stamp = 0
+
+    def order(self, start: int) -> list:
+        """Maximum-adjacency ordering of the live vertices from ``start``;
+        ``self.key`` holds each live vertex's key at selection time."""
+        self.stamp += 1
+        stamp = self.stamp
+        pins, incident, weights = self.pins, self.incident, self.weights
+        key, in_order, touched = self.key, self.in_order, self.touched
+        for v in self.live:
+            key[v] = 0
+        heap = [(0, v) for v in self.live]  # sorted, hence already a heap
+        push, pop = heapq.heappush, heapq.heappop
+        remaining = len(self.live)
+        order = []
+        v = start
         while True:
-            heap = buckets.get(curmax)
-            if not heap:
-                if heap is not None:
-                    del buckets[curmax]
-                curmax -= 1
-                if curmax < 0:
-                    raise AssertionError("ordering queue exhausted early")
-                continue
-            v = heapq.heappop(heap)
-            if in_order[v] or key[v] != curmax:
-                continue
-            break
-        absorb(v)
-    return order, key
+            in_order[v] = stamp
+            order.append(v)
+            if len(order) == remaining:
+                return order
+            for eid in incident[v]:
+                if touched[eid] == stamp:
+                    continue
+                touched[eid] = stamp
+                w = weights[eid]
+                for u in pins[eid]:
+                    if in_order[u] != stamp:
+                        k = key[u] + w
+                        key[u] = k
+                        push(heap, (-k, u))
+            while True:
+                negk, v = pop(heap)
+                if in_order[v] != stamp and key[v] == -negk:
+                    break
 
-
-def _ma_order_heap(h: Hypergraph, start: int) -> tuple:
-    n = h.vertex_count
-    key = [0.0] * n
-    in_order = bytearray(n)
-    touched = bytearray(h.edge_count)
-    heap = [(-0.0, v) for v in range(n)]
-    heapq.heapify(heap)
-    order = []
-
-    def absorb(v: int) -> None:
-        in_order[v] = 1
-        order.append(v)
-        for eid in h.incident(v):
-            if touched[eid]:
-                continue
-            touched[eid] = 1
-            w = h.weight(eid)
-            for u in h.pins(eid):
-                if not in_order[u]:
-                    key[u] += w
-                    heapq.heappush(heap, (-key[u], u))
-
-    absorb(start)
-    while len(order) < n:
-        while True:
-            negk, v = heapq.heappop(heap)
-            if in_order[v] or key[v] != -negk:
-                continue
-            break
-        absorb(v)
-    return order, key
-
-
-def _ma_order_raw(h: Hypergraph, start: int) -> tuple:
-    if all(isinstance(w, int) for w in h.edge_weights()):
-        return _ma_order_bucket(h, start)
-    return _ma_order_heap(h, start)
+    def merge(self, keep: int, gone: int) -> None:
+        """Merge vertex ``gone`` into ``keep``; edges left with one pin drop."""
+        pins, incident = self.pins, self.incident
+        inc_keep = incident[keep]
+        for eid in incident[gone]:
+            edge = pins[eid]
+            edge.discard(gone)
+            if keep in edge:
+                if len(edge) < 2:
+                    inc_keep.discard(eid)
+            else:
+                edge.add(keep)
+                inc_keep.add(eid)
+        self.members[keep].extend(self.members[gone])
+        self.live.remove(gone)
 
 
 def ma_ordering(h: Hypergraph, start: int = 0) -> MaOrdering:
@@ -138,29 +127,29 @@ def ma_ordering(h: Hypergraph, start: int = 0) -> MaOrdering:
         raise ValueError(f"start vertex out of range: {start}")
     if max(connected_components(h)) != 0:
         raise ValueError("hypergraph is disconnected; order each component separately")
-    order, key = _ma_order_raw(h, start)
-    return MaOrdering(order=tuple(order), keys=tuple(key))
+    inc = _Incidence(h)
+    order = inc.order(start)
+    return MaOrdering(order=tuple(order), keys=tuple(inc.key))
 
 
 def _run_phases(h: Hypergraph, deadline: Optional[Deadline] = None):
-    """All n-1 ordering phases; yields nothing, returns (best, block, cands)."""
-    work = compact(h)
-    log = ContractionLog(h.vertex_count)
+    """All n-1 ordering phases; returns (best, block, candidates)."""
+    inc = _Incidence(h)
     best: Optional[Weight] = None
     best_block: Optional[tuple] = None
     candidates = []
-    while work.vertex_count > 1:
+    while len(inc.live) > 1:
         if deadline is not None and deadline.expired():
             raise SolveTimeout(None)
-        order, _ = _ma_order_raw(work, 0)
+        order = inc.order(inc.live[0])
         t = order[-1]
         s = order[-2]
-        cand = work.weighted_degree(t)
+        cand = sum(inc.weights[eid] for eid in inc.incident[t])
         candidates.append(cand)
         if best is None or cand < best:
             best = cand
-            best_block = log.members_of_current(t)
-        work = contract_set(work, (s, t), log)
+            best_block = tuple(inc.members[t])
+        inc.merge(min(s, t), max(s, t))
     return best, best_block, candidates
 
 

@@ -9,9 +9,9 @@ structure that provably cannot sit on a cut cheaper than the bound, so
 
 holds after every rule application; the final answer folds the bound back
 in.  Rounds apply the rules in a fixed order, each at most once per round,
-and stop once the vertex count falls under the configured threshold or a
-round changes nothing.  What remains goes to a residual solver (exact
-ordering solver or the branch-and-bound relaxation).
+and repeat until a round changes nothing, the bound reaches zero or one
+vertex remains.  What remains goes to a residual solver (exact ordering
+solver or the branch-and-bound relaxation).
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ INF = float("inf")
 @dataclass
 class PipelineConfig:
     use_lp: bool = False
-    vertex_threshold: int = 1000
     seed: int = 0
     solver: str = "exact"  # residual backend: "exact" or "bip"
     want_partition: bool = False
@@ -412,11 +411,15 @@ def rule_imbalanced_vertex(
 
 
 def rule_imbalanced_triangle(state: PipelineState) -> bool:
-    """Contract a two-pin edge inside a triangle of two-pin edges when one
-    endpoint's degree is at most twice its two triangle edges combined.
+    """Contract a two-pin edge inside a triangle of two-pin edges when both
+    endpoints' degrees are at most twice their two triangle edges combined
+    (Padberg-Rinaldi test 3).
 
-    Non-strict, with per-pass vertex marking; an endpoint shifted across a
-    separating cut would take both of its triangle edges out of the cut.
+    Non-strict, with per-pass vertex marking.  A cut separating the
+    endpoints leaves one of them apart from the triangle's third vertex;
+    moving that endpoint across uncuts both of its triangle edges, so the
+    cut does not get dearer.  Either endpoint may be the one apart, so the
+    test must hold for both.
     Only trivial cuts can be lost, and those are already folded into the
     running bound.
     """
@@ -435,7 +438,7 @@ def rule_imbalanced_triangle(state: PipelineState) -> bool:
             continue
         common = nu.keys() & nv.keys()
         for w in sorted(common):
-            if wdeg[u] <= 2 * (w_uv + nu[w]) or wdeg[v] <= 2 * (w_uv + nv[w]):
+            if wdeg[u] <= 2 * (w_uv + nu[w]) and wdeg[v] <= 2 * (w_uv + nv[w]):
                 uf.union(u, v)
                 marked[u] = marked[v] = 1
                 break
@@ -554,7 +557,7 @@ def _reduce_rounds(state: PipelineState) -> Optional[CutResult]:
                 return _zero_result(state)
             if state.current.vertex_count == 1:
                 return _bound_result(state)
-        if state.current.vertex_count <= config.vertex_threshold or not changed:
+        if not changed:
             return None
 
 

@@ -25,7 +25,7 @@ from .hgraph import (
     connected_components,
     cut_value,
 )
-from .osolve import _ma_order_raw, mincut_ordering
+from .osolve import _Incidence, mincut_ordering
 
 __all__ = [
     "HeadOrdering",
@@ -64,7 +64,7 @@ def compute_head_ordering(h: Hypergraph, seed: int = 0) -> HeadOrdering:
     if n > 1 and max(connected_components(h)) != 0:
         raise ValueError("hypergraph is disconnected")
     start = random.Random(seed).randrange(n)
-    order, _ = _ma_order_raw(h, start)
+    order = _Incidence(h).order(start)
     position = [0] * n
     for idx, v in enumerate(order):
         position[v] = idx

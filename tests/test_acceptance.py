@@ -182,9 +182,7 @@ def test_criterion_7_full_reduction_statistic():
         h = random_instance(seed, unit=(seed % 2 == 0))
         if seed % 2 == 1:
             h = randomize_weights(h, 1, 100, seed=seed)
-        result, state = run_pipeline_detailed(
-            h, PipelineConfig(vertex_threshold=1)
-        )
+        result, state = run_pipeline_detailed(h)
         if state.current.vertex_count == 1 or state.current.edge_count == 0:
             fully_reduced += 1
             if result.value != brute_mincut(h).value:

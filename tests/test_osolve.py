@@ -1,14 +1,53 @@
+import random
+
 import pytest
 
 from hgcut import (
+    Deadline,
+    GenSpec,
     Hypergraph,
     brute_mincut,
     cut_value,
     ma_ordering,
     mincut_ordering,
     phase_cut_values,
+    random_hypergraph,
+    randomize_weights,
+    run_pipeline,
+    trimmer_mincut,
 )
 from conftest import random_instance
+
+
+def two_clusters(n, seed, *, size_range, weight_range, density=4, crossing=3):
+    """Two random halves of ``density * n / 2`` edges each, joined by a few
+    two-pin edges, so the minimum cut is usually not a single vertex."""
+    rng = random.Random(seed)
+    half = n // 2
+    pins, weights = [], []
+    for offset, count in ((0, half), (half, n - half)):
+        spec = GenSpec(count, density * count, size_range, weight_range,
+                       seed=rng.randrange(2**30), ensure_connected=True)
+        for e, w in random_hypergraph(spec).edges():
+            pins.append([v + offset for v in e])
+            weights.append(w)
+    for _ in range(crossing):
+        pins.append([rng.randrange(half), rng.randrange(half, n)])
+        weights.append(rng.randint(*weight_range))
+    return Hypergraph(n, pins, weights)
+
+
+def stoer_wagner_value(h):
+    import networkx as nx
+
+    g = nx.Graph()
+    g.add_nodes_from(range(h.vertex_count))
+    for (u, v), w in h.edges():
+        if g.has_edge(u, v):
+            g[u][v]["weight"] += w
+        else:
+            g.add_edge(u, v, weight=w)
+    return nx.stoer_wagner(g)[0]
 
 
 class TestMaOrdering:
@@ -92,3 +131,29 @@ class TestMincutOrdering:
                     list(h.edge_weights()),
                 )
                 assert mincut_ordering(hh).value == truth
+
+
+class TestAboveOracleLimit:
+    def test_weights_far_above_the_pin_count(self):
+        h = two_clusters(40, 5, size_range=(2, 2), weight_range=(5_000_000, 10_000_000))
+        res = mincut_ordering(h, Deadline(10))
+        assert res.value == stoer_wagner_value(h)
+        assert cut_value(h, res.partition) == res.value
+
+    def test_graphs_against_stoer_wagner(self):
+        for seed, n in ((1, 150), (2, 220), (3, 300)):
+            h = two_clusters(n, seed, size_range=(2, 2), weight_range=(1, 1000), density=8)
+            res = mincut_ordering(h)
+            assert res.value == stoer_wagner_value(h)
+            assert cut_value(h, res.partition) == res.value
+
+    def test_unweighted_hypergraphs_against_trimmer(self):
+        for seed in (4, 5):
+            h = two_clusters(200, seed, size_range=(2, 5), weight_range=(1, 1))
+            assert mincut_ordering(h).value == trimmer_mincut(h, seed=seed).value
+
+    def test_pipeline_against_solver(self):
+        for seed in (4, 5):
+            unit = two_clusters(200, seed, size_range=(2, 5), weight_range=(1, 1))
+            for h in (unit, randomize_weights(unit, 1, 1000, seed=seed)):
+                assert run_pipeline(h).value == mincut_ordering(h).value

@@ -195,6 +195,20 @@ class TestRuleImbalancedTriangle:
         assert state.current.vertex_count == 3
         check_exact(h, state)
 
+    def test_both_endpoints_must_pass(self):
+        # in the triangle 1-2-3 only vertex 2 of the edge (2, 3) passes the
+        # degree test; contracting on it alone loses the minimum cut {0, 3} | {1, 2}
+        h = Hypergraph(
+            4,
+            [[0, 2, 3], [1, 3], [2, 3], [0, 3], [0, 1], [1, 2], [0, 1, 2, 3], [0, 1, 2], [0, 2]],
+            [2, 4, 5, 11, 6, 11, 12, 1, 1],
+        )
+        assert brute_mincut(h).value == 31
+        state = make_state(h)
+        rule_imbalanced_triangle(state)
+        check_exact(h, state)
+        assert run_pipeline(h).value == 31
+
 
 class TestRuleHeavyNeighborhood:
     def test_common_neighbor_reaches_bound(self):
@@ -243,7 +257,7 @@ class TestPipeline:
     def test_threshold_hands_residual_to_solver(self):
         for seed in range(40):
             h = random_instance(seed)
-            res = run_pipeline(h, PipelineConfig(vertex_threshold=1))
+            res = run_pipeline(h)
             assert res.value == brute_mincut(h).value
 
     def test_determinism(self):
@@ -261,7 +275,7 @@ class TestPipeline:
     def test_edge_and_pin_counts_never_grow(self):
         for seed in range(40):
             h = random_instance(seed)
-            _, state = run_pipeline_detailed(h, PipelineConfig(vertex_threshold=1))
+            _, state = run_pipeline_detailed(h)
             per_round = {}
             for s in state.round_stats:
                 per_round.setdefault(s.round, []).append(s)
