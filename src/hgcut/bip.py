@@ -13,9 +13,13 @@ integrality tolerance, plus rounding of fractional points to feasible
 bipartitions.  The reported value is always the recomputed cut of the
 rounded bipartition, never the raw objective, so it is a sound upper
 bound; with generous limits the search is exact up to the tolerance.
-The solver targets residual instances of modest size (it keeps a dense
-tableau); bigger models are meant to be exported and handed to an
-external solver.
+
+Node LPs carry two bound rows per variable, so fixing a binary lowers one
+right-hand side, and a non-negative objective makes the all-slack basis
+dual feasible: the dual simplex runs from it at the root, where ``x_0`` is
+fixed to 1, and from the parent's final tableau at every child.  The dense
+tableaux suit residual instances of modest size; bigger models are meant
+to be exported and handed to an external solver.
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._limits import Deadline
+from ._limits import Deadline, SolveTimeout
 from .hgraph import Hypergraph, Weight, cut_value
 
-__all__ = ["BipModel", "SolveLimits", "RelaxedSolution", "build_model", "export_lp", "solve_relaxed"]
+__all__ = [
+    "BipModel", "SolveLimits", "RelaxedSolution", "build_model", "export_lp", "solve_relaxed", "tableau_bytes",
+]
 
 
 @dataclass(frozen=True)
@@ -120,140 +126,127 @@ def export_lp(model: BipModel, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-# -- dense LP machinery ---------------------------------------------------------
+# -- dual simplex ---------------------------------------------------------------
+
+# Open nodes that may carry their parent's tableau for a warm start; the
+# others carry only the parent's basis and rebuild the tableau when popped.
+_HELD_TABLEAUX = 32
 
 
-def _dense_ub(model: BipModel) -> Tuple[np.ndarray, np.ndarray]:
-    """Rows as A x <= b including the [0, 1] upper bounds."""
-    nv = model.num_vars
-    nr = model.num_rows
-    a = np.zeros((nr + nv, nv))
-    b = np.zeros(nr + nv)
+def _dense_rows(model: BipModel) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows as A x <= b, then ``x_j <= 1`` and ``-x_j <= 0`` for every var.
+
+    Fixing a binary lowers one right-hand side by one: ``x_j = 0`` the row
+    ``num_rows + j``, ``x_j = 1`` the row ``num_rows + num_vars + j``.
+    """
+    nv, nr = model.num_vars, model.num_rows
+    a = np.zeros((nr + 2 * nv, nv))
+    b = np.zeros(nr + 2 * nv)
     for i, (row, sense, rhs) in enumerate(model.rows):
         sign = 1.0 if sense == "<=" else -1.0
         for j, coef in row:
             a[i, j] = sign * coef
         b[i] = sign * rhs
-    a[nr:, :] = np.eye(nv)
-    b[nr:] = 1.0
+    a[nr : nr + nv] = np.eye(nv)
+    a[nr + nv :] = -np.eye(nv)
+    b[nr : nr + nv] = 1.0
     return a, b
 
 
-def _pivot_loop(tableau, basis, cost, tol, ban_from=None):
-    """Dantzig pricing with a Bland fallback; returns False when unbounded."""
-    n_rows = tableau.shape[0]
-    n_cols = tableau.shape[1] - 1
-    switch = 50 * (n_rows + n_cols) + 200
-    hard_limit = 40 * switch
-    iteration = 0
-    while True:
-        iteration += 1
-        if iteration > hard_limit:
-            raise ArithmeticError("simplex did not converge")
-        reduced = cost - cost[basis] @ tableau[:, :-1]
-        if ban_from is not None:
-            reduced[ban_from:] = np.inf
-        candidates = np.flatnonzero(reduced < -tol)
-        if candidates.size == 0:
-            return True
-        if iteration <= switch:
-            enter = candidates[np.argmin(reduced[candidates])]
+def tableau_bytes(model: BipModel) -> int:
+    """Bytes of LP storage ``solve_relaxed`` holds at once: the held parent
+    tableaux, the one being solved, and one rebuild from a basis."""
+    nv, rows = model.num_vars, model.num_rows + 2 * model.num_vars
+    rebuild = rows * (2 * rows + 3 * (nv + 1))  # [A I], basis, rhs, result
+    return 8 * ((_HELD_TABLEAUX + 1) * (rows + 1) * (nv + 1) + rebuild)
+
+
+class _Tableau:
+    """Short tableau ``x_B + T x_N = rhs`` of ``min c@x, A x <= b, x >= 0``.
+
+    Labels ``0..nv-1`` name the structural variables, ``nv + i`` the slack
+    of row ``i``.  Row ``i`` belongs to ``basic[i]`` and column ``k`` to
+    ``nonbasic[k]`` (at zero); the last row holds the reduced costs and
+    ``-z``, the last column the right-hand side.
+    """
+
+    __slots__ = ("t", "basic", "nonbasic")
+
+    def __init__(self, t: np.ndarray, basic: np.ndarray, nonbasic: np.ndarray) -> None:
+        self.t, self.basic, self.nonbasic = t, basic, nonbasic
+
+    @classmethod
+    def slack(cls, c, a, b) -> "_Tableau":
+        """The all-slack basis, dual feasible when ``c >= 0``."""
+        rows, nv = a.shape
+        t = np.zeros((rows + 1, nv + 1))
+        t[:rows, :nv], t[:rows, nv], t[rows, :nv] = a, b, c
+        return cls(t, nv + np.arange(rows), np.arange(nv))
+
+    @classmethod
+    def from_basis(cls, c, a, b, basic: np.ndarray) -> "_Tableau":
+        """The tableau of ``basic``, by one solve against its columns."""
+        rows, nv = a.shape
+        full = np.hstack([a, np.eye(rows)])
+        cost = np.concatenate([c, np.zeros(rows)])
+        nonbasic = np.setdiff1d(np.arange(nv + rows), basic)
+        t = np.zeros((rows + 1, nv + 1))
+        t[:rows] = np.linalg.solve(full[:, basic], np.column_stack([full[:, nonbasic], b]))
+        t[rows, :nv] = cost[nonbasic]
+        t[rows] -= cost[basic] @ t[:rows]
+        return cls(t, basic.copy(), nonbasic)
+
+    def lower_rhs(self, row: int) -> None:
+        """Lower ``b[row]`` by one: subtract the slack column of ``row``."""
+        label = self.t.shape[1] - 1 + row
+        k = np.flatnonzero(self.nonbasic == label)
+        if k.size:
+            self.t[:, -1] -= self.t[:, k[0]]
         else:
-            enter = candidates[0]  # Bland: smallest index, terminates
-        col = tableau[:, enter]
-        positive = np.flatnonzero(col > tol)
-        if positive.size == 0:
-            return False
-        ratios = tableau[positive, -1] / col[positive]
-        theta = ratios.min()
-        ties = positive[ratios <= theta + 1e-12]
-        leave = ties[np.argmin(basis[ties])]
-        pivot = tableau[leave, enter]
-        tableau[leave] /= pivot
-        factors = tableau[:, enter].copy()
-        factors[leave] = 0.0
-        tableau -= np.outer(factors, tableau[leave])
-        basis[leave] = enter
+            self.t[np.flatnonzero(self.basic == label)[0], -1] -= 1.0
 
+    def point(self) -> np.ndarray:
+        """Values of the structural variables."""
+        x = np.zeros(self.t.shape[1] - 1 + self.basic.size)
+        x[self.basic] = self.t[:-1, -1]
+        return x[: self.t.shape[1] - 1]
 
-def _solve_lp(c, a_ub, b_ub, tol=1e-9):
-    """min c@x s.t. a_ub@x <= b_ub, x >= 0.  Returns (x, obj) or None."""
-    n_rows, n_vars = a_ub.shape
-    a = np.array(a_ub, dtype=float)
-    b = np.array(b_ub, dtype=float)
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-    art_rows = np.flatnonzero(flip)
-    n_art = art_rows.size
+    def solve(self, deadline: Deadline) -> Tuple[bool, int]:
+        """Dual simplex from a dual-feasible basis; returns (feasible, pivots).
 
-    total = n_vars + n_rows + n_art
-    tableau = np.zeros((n_rows, total + 1))
-    tableau[:, :n_vars] = a
-    slack_sign = np.where(flip, -1.0, 1.0)
-    tableau[np.arange(n_rows), n_vars + np.arange(n_rows)] = slack_sign
-    if n_art:
-        tableau[art_rows, n_vars + n_rows + np.arange(n_art)] = 1.0
-    tableau[:, -1] = b
-
-    basis = n_vars + np.arange(n_rows)
-    basis[art_rows] = n_vars + n_rows + np.arange(n_art)
-
-    if n_art:
-        phase1 = np.zeros(total)
-        phase1[n_vars + n_rows :] = 1.0
-        if not _pivot_loop(tableau, basis, phase1, tol):
-            return None
-        if phase1[basis] @ tableau[:, -1] > 1e-7:
-            return None  # infeasible
-        for i in np.flatnonzero(basis >= n_vars + n_rows):
-            row = tableau[i, : n_vars + n_rows]
-            nz = np.flatnonzero(np.abs(row) > tol)
-            if nz.size:
-                enter = nz[0]
-                pivot = tableau[i, enter]
-                tableau[i] /= pivot
-                factors = tableau[:, enter].copy()
-                factors[i] = 0.0
-                tableau -= np.outer(factors, tableau[i])
-                basis[i] = enter
-            # else: redundant row; the artificial stays basic at zero
-
-    phase2 = np.zeros(total)
-    phase2[:n_vars] = c
-    if not _pivot_loop(tableau, basis, phase2, tol, ban_from=n_vars + n_rows):
-        return None  # unbounded; cannot happen with box bounds
-    x = np.zeros(total)
-    x[basis] = tableau[:, -1]
-    solution = x[:n_vars]
-    return solution, float(np.dot(c, solution))
-
-
-def _node_lp(c, a, b, fixed):
-    """LP with some binaries fixed; returns (full x, objective) or None."""
-    n_vars = c.shape[0]
-    if not fixed:
-        res = _solve_lp(c, a, b)
-        if res is None:
-            return None
-        return res
-    free = [j for j in range(n_vars) if j not in fixed]
-    ones = [j for j, val in fixed.items() if val == 1]
-    rhs = b - a[:, ones].sum(axis=1) if ones else b.copy()
-    const = float(c[ones].sum()) if ones else 0.0
-    x_full = np.zeros(n_vars)
-    for j in ones:
-        x_full[j] = 1.0
-    if not free:
-        if np.all(rhs >= -1e-9):
-            return x_full, const
-        return None
-    res = _solve_lp(c[free], a[:, free], rhs)
-    if res is None:
-        return None
-    x_free, obj = res
-    x_full[free] = x_free
-    return x_full, obj + const
+        The most negative row leaves; the ratio test takes the largest pivot
+        among ties.  Past ``switch`` pivots Bland's rule (smallest labels)
+        guards against dual degeneracy, past 40 times that the solve gives
+        up.  The deadline is checked between pivots.
+        """
+        t, basic, nonbasic = self.t, self.basic, self.nonbasic
+        tol, switch = 1e-9, 50 * sum(t.shape) + 200
+        pivots = 0
+        while True:
+            rhs = t[:-1, -1]
+            negative = np.flatnonzero(rhs < -tol)
+            if negative.size == 0:
+                return True, pivots
+            if pivots > 40 * switch:
+                raise ArithmeticError("dual simplex did not converge")
+            if deadline.expired():
+                raise SolveTimeout()
+            bland = pivots >= switch
+            r = negative[np.argmin(basic[negative] if bland else rhs[negative])]
+            row = t[r, :-1]
+            cols = np.flatnonzero(row < -tol)
+            if cols.size == 0:
+                return False, pivots  # row r cannot be met with x >= 0
+            ratios = np.maximum(t[-1, cols], 0.0) / -row[cols]
+            ties = cols[ratios <= ratios.min() + tol]
+            k = ties[np.argmin(nonbasic[ties] if bland else row[ties])]
+            p, col = t[r, k], t[:, k].copy()
+            col[r] = 0.0
+            t[r] /= p
+            t -= np.outer(col, t[r])
+            t[:, k], t[r, k] = -col / p, 1.0 / p
+            basic[r], nonbasic[k] = nonbasic[k], basic[r]
+            pivots += 1
 
 
 # -- branch and bound -----------------------------------------------------------
@@ -274,21 +267,8 @@ class RelaxedSolution:
     value: Weight
     block: frozenset
     status: str  # optimal | feasible-timeout | infeasible
-
-
-def _block_from_point(h: Hypergraph, x: np.ndarray) -> set:
-    n = h.vertex_count
-    block = {v for v in range(n) if x[v] >= 0.5}
-    if not block or len(block) == n:
-        wd = h.weighted_degrees()
-        mover = min(range(n), key=lambda v: (wd[v], v))
-        if not block:
-            block = {mover}
-        else:
-            block.discard(mover)
-            if not block:  # n == 1 cannot happen; mover was the whole block
-                block = {v for v in range(n) if v != mover}
-    return block
+    nodes: int = 0  # LPs solved
+    pivots: int = 0  # dual simplex pivots over all nodes
 
 
 def _assignment_for(h: Hypergraph, block: frozenset) -> tuple:
@@ -306,64 +286,82 @@ def solve_relaxed(model: BipModel, limits: Optional[SolveLimits] = None) -> Rela
     """Best-bound branch-and-bound over the LP relaxation, with rounding.
 
     Every explored point is rounded at one half to a bipartition (moving
-    the lightest vertex if a block comes up empty) and scored by its true
-    cut weight, so an incumbent exists from the start and the best one is
-    returned when a limit stops the search early.  Variables within the
-    integrality tolerance of a bit close a node; branching picks the most
-    fractional variable, ties toward the lowest index.
+    the lightest vertex out if the block takes every vertex) and scored by
+    its true cut weight, so an incumbent exists from the start and the best
+    one is returned when a limit stops the search early.  Variables within
+    the integrality tolerance of a bit close a node; branching picks the
+    most fractional variable, ties toward the lowest index.
+
+    The root fixes vertex 0 into the block, since a bipartition and its
+    complement cut alike, and solves from the all-slack basis; a child
+    starts from its parent's final tableau with one bound lowered.
     """
     limits = limits if limits is not None else SolveLimits()
     h = model.hypergraph
     deadline = Deadline(limits.time_limit)
-    a, b = _dense_ub(model)
+    a, b = _dense_rows(model)
     c = np.array(model.objective, dtype=float)
+    nr, nv = model.num_rows, model.num_vars
 
     wd = h.weighted_degrees()
-    seed_vertex = min(range(h.vertex_count), key=lambda v: (wd[v], v))
-    best_block = frozenset({seed_vertex})
-    best_value: Weight = (
-        cut_value(h, best_block) if h.edge_count else 0
-    )
+    lightest = min(range(h.vertex_count), key=lambda v: (wd[v], v))
+    best_block = frozenset({lightest})
+    best_value: Weight = cut_value(h, best_block) if h.edge_count else 0
 
-    counter = 0
-    heap = [(0.0, counter, {})]
+    # heap entries: (bound, tiebreak, row to lower, parent rhs, parent tableau or None, parent basis)
+    root = _Tableau.slack(c, a, b)
+    heap = [(0.0, 0, nr + nv, b, root, root.basic)]  # the root fixes x_0 = 1
+    held = 1
     status = "optimal"
-    nodes = 0
-    while heap:
-        if deadline.expired():
-            status = "feasible-timeout"
-            break
-        if limits.node_limit is not None and nodes >= limits.node_limit:
-            status = "feasible-timeout"
-            break
-        bound, _, fixed = heapq.heappop(heap)
-        if bound >= best_value - 1e-9:
-            break  # best-bound order: nothing left can improve
-        solved = _node_lp(c, a, b, fixed)
-        nodes += 1
-        if solved is None:
-            continue
-        x, obj = solved
-        if obj >= best_value - 1e-9:
-            continue
-        block = _block_from_point(h, x)
-        value = cut_value(h, block)
-        if value < best_value:
-            best_value = value
-            best_block = frozenset(block)
-        distance = np.abs(x - np.round(x))
-        branch_var = int(np.argmax(distance))
-        if distance[branch_var] <= limits.tol:
-            continue  # integral point: node fully solved
-        for bit in (0, 1):
-            child = dict(fixed)
-            child[branch_var] = bit
-            counter += 1
-            heapq.heappush(heap, (obj, counter, child))
+    nodes = pivots = 0
+    try:
+        while heap:
+            if deadline.expired() or (limits.node_limit is not None and nodes >= limits.node_limit):
+                status = "feasible-timeout"
+                break
+            bound, _, row, rhs, parent, basic = heapq.heappop(heap)
+            if bound >= best_value - 1e-9:
+                break  # best-bound order: nothing left can improve
+            rhs = rhs.copy()
+            rhs[row] -= 1.0
+            if parent is None:
+                tab = _Tableau.from_basis(c, a, rhs, basic)
+            else:
+                held -= 1
+                tab = _Tableau(parent.t.copy(), basic.copy(), parent.nonbasic.copy())
+                tab.lower_rhs(row)
+            feasible, steps = tab.solve(deadline)
+            nodes += 1
+            pivots += steps
+            if not feasible:
+                continue
+            obj = -float(tab.t[-1, -1])
+            if obj >= best_value - 1e-9:
+                continue
+            x = tab.point()
+            block = {v for v in range(h.vertex_count) if x[v] >= 0.5}  # holds vertex 0
+            if len(block) == h.vertex_count:
+                block.discard(lightest)
+            value = cut_value(h, block)
+            if value < best_value:
+                best_value = value
+                best_block = frozenset(block)
+            distance = np.abs(x - np.round(x))
+            j = int(np.argmax(distance))
+            if distance[j] <= limits.tol:
+                continue  # integral point: node fully solved
+            keep = held + 2 <= _HELD_TABLEAUX
+            held += 2 * keep
+            for bit, child_row in enumerate((nr + j, nr + nv + j)):  # x_j = 0, then x_j = 1
+                heapq.heappush(heap, (obj, 2 * nodes + bit, child_row, rhs, tab if keep else None, tab.basic))
+    except SolveTimeout:
+        status = "feasible-timeout"
 
     return RelaxedSolution(
         assignments=_assignment_for(h, best_block),
         value=best_value,
         block=best_block,
         status=status,
+        nodes=nodes,
+        pivots=pivots,
     )

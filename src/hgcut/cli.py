@@ -23,7 +23,7 @@ from dataclasses import asdict
 from typing import Optional
 
 from ._limits import Deadline, SolveTimeout
-from .bip import SolveLimits, build_model, solve_relaxed
+from .bip import SolveLimits, build_model, solve_relaxed, tableau_bytes
 from .hgraph import load_hypergraph, save_hypergraph, storage_nbytes
 from .oracle import DEFAULT_MAX_VERTICES, brute_mincut
 from .osolve import mincut_ordering
@@ -142,7 +142,7 @@ def cmd_solve(args) -> int:
             model = build_model(h, mode=args.mode)
             sol = solve_relaxed(model, SolveLimits(time_limit=args.time_limit))
             value, block = sol.value, sol.block
-            peak = storage_nbytes(h) + 8 * (model.num_rows + model.num_vars) * (model.num_vars + 1)
+            peak = storage_nbytes(h) + tableau_bytes(model)
             if sol.status == "feasible-timeout":
                 if want_partition and block is not None:
                     _write_partition(args.partition_out, value, block)

@@ -587,9 +587,10 @@ def _solve_residual(state: PipelineState) -> CutResult:
         )
         solver_prov = PROVENANCE_ORDERING
     elif config.solver == "bip":
-        from .bip import SolveLimits, build_model, solve_relaxed
+        from .bip import SolveLimits, build_model, solve_relaxed, tableau_bytes
 
         model = build_model(h)
+        state.peak_bytes = max(state.peak_bytes, storage_nbytes(h) + tableau_bytes(model))
         remaining = state.deadline.remaining() if state.deadline is not None else None
         sol = solve_relaxed(
             model,

@@ -1,19 +1,44 @@
 import itertools
+import random
+import time
 
 import numpy as np
 import pytest
 
 from hgcut import (
+    GenSpec,
     Hypergraph,
+    PipelineConfig,
     SolveLimits,
     brute_mincut,
     build_model,
     cut_value,
     export_lp,
+    random_hypergraph,
+    run_pipeline,
     solve_relaxed,
 )
-from hgcut.bip import _dense_ub, _solve_lp
+from hgcut._limits import Deadline, SolveTimeout
+from hgcut.bip import _Tableau, _dense_rows, tableau_bytes
 from conftest import random_instance
+
+
+def _dual_lp(c, a, b):
+    """min c@x s.t. a@x <= b, x >= 0 from the slack basis; (x, obj) or None."""
+    tab = _Tableau.slack(np.asarray(c, float), np.asarray(a, float), np.asarray(b, float))
+    feasible, _ = tab.solve(Deadline())
+    return (tab.point(), -float(tab.t[-1, -1])) if feasible else None
+
+
+def _linear_triples(rng, n):
+    """3-regular 3-uniform edges on n vertices, no pair in two edges."""
+    while True:
+        slots = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(slots)
+        edges = [sorted(slots[i : i + 3]) for i in range(0, len(slots), 3)]
+        pairs = [(e[x], e[y]) for e in edges for x, y in ((0, 1), (0, 2), (1, 2))]
+        if all(len(set(e)) == 3 for e in edges) and len(set(pairs)) == len(pairs):
+            return edges
 
 
 class TestBuildModel:
@@ -72,19 +97,20 @@ class TestExportLp:
 
 class TestSimplex:
     def test_simple_lp(self):
-        # min -x - y st x + y <= 1, x,y >= 0
-        res = _solve_lp(np.array([-1.0, -1.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
+        # min x + y st x + y >= 1, x,y >= 0
+        res = _dual_lp(np.array([1.0, 1.0]), np.array([[-1.0, -1.0]]), np.array([-1.0]))
         assert res is not None
-        assert res[1] == pytest.approx(-1.0)
+        assert res[1] == pytest.approx(1.0)
+        assert res[0].sum() == pytest.approx(1.0)
 
     def test_infeasible(self):
         # x <= -1, x >= 0
-        res = _solve_lp(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
+        res = _dual_lp(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
         assert res is None
 
     def test_negative_rhs_feasible(self):
         # x >= 2 encoded as -x <= -2, minimize x
-        res = _solve_lp(np.array([1.0]), np.array([[-1.0]]), np.array([-2.0]))
+        res = _dual_lp(np.array([1.0]), np.array([[-1.0]]), np.array([-2.0]))
         assert res is not None
         assert res[1] == pytest.approx(2.0)
 
@@ -96,11 +122,11 @@ class TestSimplex:
             rows, cols = rng.integers(2, 7), rng.integers(2, 6)
             a = rng.integers(-3, 4, size=(rows, cols)).astype(float)
             b = rng.integers(0, 6, size=rows).astype(float)
-            c = rng.integers(-4, 5, size=cols).astype(float)
+            c = rng.integers(0, 5, size=cols).astype(float)  # c >= 0: slack basis dual feasible
             # bounded via box rows so both solvers see the same problem
             a_full = np.vstack([a, np.eye(cols)])
             b_full = np.concatenate([b, np.full(cols, 3.0)])
-            ours = _solve_lp(c, a_full, b_full)
+            ours = _dual_lp(c, a_full, b_full)
             ref = linprog(c, A_ub=a_full, b_ub=b_full, bounds=(0, None), method="highs")
             assert ours is not None and ref.status == 0
             assert ours[1] == pytest.approx(ref.fun, abs=1e-7)
@@ -109,10 +135,33 @@ class TestSimplex:
         # spreading 1/n over the vertex variables satisfies every row with
         # all indicators at zero, hence branch-and-bound rather than one LP
         model = build_model(triangle)
-        a, b = _dense_ub(model)
-        res = _solve_lp(np.array(model.objective, dtype=float), a, b)
+        a, b = _dense_rows(model)
+        res = _dual_lp(np.array(model.objective, dtype=float), a, b)
         assert res is not None
         assert res[1] == pytest.approx(0.0, abs=1e-9)
+
+    def test_expired_deadline_stops_between_pivots(self):
+        with pytest.raises(SolveTimeout):
+            _Tableau.slack(np.array([1.0]), np.array([[-1.0]]), np.array([-2.0])).solve(Deadline(0.0))
+
+    def test_rebuilt_tableau_matches_pivoted_one(self):
+        model = build_model(random_instance(3))
+        a, b = _dense_rows(model)
+        c = np.array(model.objective, dtype=float)
+        tab = _Tableau.slack(c, a, b)
+        assert tab.solve(Deadline())[0]
+        again = _Tableau.from_basis(c, a, b, tab.basic)
+        assert np.array_equal(again.nonbasic, np.sort(tab.nonbasic))
+        order = np.argsort(tab.nonbasic)
+        assert np.allclose(again.t[:, :-1], tab.t[:, order], atol=1e-9)
+        assert np.allclose(again.t[:, -1], tab.t[:, -1], atol=1e-9)
+
+    def test_tableau_bytes_covers_root_tableau(self):
+        for seed in range(10):
+            model = build_model(random_instance(seed))
+            a, b = _dense_rows(model)
+            root = _Tableau.slack(np.array(model.objective, dtype=float), a, b)
+            assert tableau_bytes(model) >= root.t.nbytes
 
 
 class TestSolveRelaxed:
@@ -165,12 +214,69 @@ class TestSolveRelaxed:
         assert cut_value(h, sol.block) == sol.value
         assert sol.value >= brute_mincut(h).value
 
+    @pytest.mark.parametrize("w_hi", [2, 100, 10**4, 10**6])
+    def test_exact_across_weight_ranges_and_edge_sizes(self, w_hi):
+        for seed in range(40):
+            rng = random.Random(seed * 7 + w_hi)
+            n = rng.randint(2, 14)
+            h = random_hypergraph(
+                GenSpec(
+                    vertex_count=n,
+                    edge_count=rng.randint(1, 24),
+                    size_range=(2, min(6, n)),
+                    weight_range=(1, w_hi),
+                    seed=rng.randrange(2**30),
+                    ensure_connected=True,
+                )
+            )
+            truth = brute_mincut(h).value
+            for mode in ("pairwise", "representative"):
+                sol = solve_relaxed(build_model(h, mode))
+                assert sol.status == "optimal"
+                assert sol.value == truth == cut_value(h, sol.block)
+            assert run_pipeline(h, PipelineConfig(solver="bip")).value == truth
+
+    def test_work_counts_repeat(self):
+        for seed in range(10):
+            model = build_model(random_instance(seed))
+            a, b = solve_relaxed(model), solve_relaxed(model)
+            assert (a.nodes, a.pivots) == (b.nodes, b.pivots)
+            assert a.nodes >= 1
+
+    def test_children_warm_start_in_few_pivots(self):
+        rng = random.Random(13)
+        h = Hypergraph(13, _linear_triples(rng, 13), [rng.randint(80, 100) for _ in range(13)])
+        model = build_model(h)
+        root = solve_relaxed(model, SolveLimits(node_limit=1))
+        sol = solve_relaxed(model)
+        assert sol.value == brute_mincut(h).value
+        assert sol.nodes > 10
+        assert (sol.pivots - root.pivots) / (sol.nodes - 1) < 10
+
+    def test_children_rebuilt_from_basis_agree(self, monkeypatch):
+        models = [build_model(random_instance(seed)) for seed in range(20)]
+        warm = [solve_relaxed(m) for m in models]
+        monkeypatch.setattr("hgcut.bip._HELD_TABLEAUX", 1)  # only the root is held
+        for model, expected in zip(models, warm):
+            sol = solve_relaxed(model)
+            assert (sol.value, sol.status) == (expected.value, expected.status)
+            assert cut_value(model.hypergraph, sol.block) == sol.value
+
+    def test_time_limit_checked_inside_lp(self):
+        h = random_instance(0, n_range=(40, 40), m_range=(120, 120), w_hi=100)
+        model = build_model(h)
+        started = time.perf_counter()
+        sol = solve_relaxed(model, SolveLimits(time_limit=0.2))
+        assert time.perf_counter() - started < 1.5
+        assert sol.status == "feasible-timeout"
+        assert cut_value(h, sol.block) == sol.value
+
     def test_model_objective_bounds_every_feasible_assignment(self):
         # for every feasible 0/1 assignment the objective dominates the cut
         # of the induced bipartition, with equality attainable at optimum
         h = Hypergraph(3, [[0, 1], [1, 2]], [2, 3])
         model = build_model(h)
-        a, b = _dense_ub(model)
+        a, b = _dense_rows(model)
         best = None
         for bits in itertools.product((0, 1), repeat=model.num_vars):
             x = np.array(bits, dtype=float)

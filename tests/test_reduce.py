@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
+import hgcut.reduce
 from hgcut import (
     Hypergraph,
     PipelineConfig,
     brute_mincut,
+    connected_components,
     cut_value,
     run_pipeline,
     run_pipeline_detailed,
@@ -356,3 +360,59 @@ class TestPerRuleExactness:
                     assert state.current.edge_count <= edges
                     assert state.current.pin_count <= pins
                     edges, pins = state.current.edge_count, state.current.pin_count
+
+
+@st.composite
+def small_hypergraphs(draw):
+    """Connected, n <= 14, edges of 2..6 pins, weights 1..w for w up to 1000."""
+    n = draw(st.integers(3, 14))
+    w_hi = draw(st.sampled_from([2, 10, 100, 1000]))
+    pins = st.lists(st.integers(0, n - 1), min_size=2, max_size=min(6, n), unique=True)
+    edges = draw(st.lists(pins, min_size=n - 1, max_size=3 * n))
+    weights = draw(st.lists(st.integers(1, w_hi), min_size=len(edges), max_size=len(edges)))
+    h = Hypergraph(n, edges, weights)
+    assume(max(connected_components(h)) == 0)
+    return h
+
+
+class TestComposition:
+    """The contract after every rule application inside real multi-round
+    pipeline runs, on the intermediate instances the rules actually meet."""
+
+    @settings(
+        max_examples=400,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(small_hypergraphs())
+    @example(
+        Hypergraph(
+            4,
+            [[0, 2, 3], [1, 3], [2, 3], [0, 3], [0, 1], [1, 2], [0, 1, 2, 3], [0, 1, 2], [0, 2]],
+            [2, 4, 5, 11, 6, 11, 12, 1, 1],
+        )
+    )
+    def test_contract_after_every_rule_in_pipeline_runs(self, h):
+        truth = brute_mincut(h).value
+        applied = []
+
+        def checked(name, rule):
+            def run(state):
+                changed = rule(state)
+                applied.append(name)
+                current = state.current
+                rest = brute_mincut(current).value if current.vertex_count >= 2 else state.upper_bound
+                assert min(state.upper_bound, rest) == truth, (name, len(applied))
+                return changed
+
+            return run
+
+        wrapped = tuple((name, checked(name, rule)) for name, rule in RULE_ORDER)
+        original = hgcut.reduce.RULE_ORDER
+        hgcut.reduce.RULE_ORDER = wrapped
+        try:
+            assert run_pipeline(h).value == truth
+        finally:
+            hgcut.reduce.RULE_ORDER = original
