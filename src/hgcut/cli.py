@@ -64,6 +64,8 @@ def _record(
     reason: Optional[str] = None,
     peak_memory_bytes: int = 0,
     round_stats=None,
+    stop_reason: Optional[str] = None,
+    residual: Optional[dict] = None,
 ) -> dict:
     return {
         "instance": instance,
@@ -76,6 +78,8 @@ def _record(
         "seed": seed,
         "config": config,
         "round_stats": round_stats,
+        "stop_reason": stop_reason,
+        "residual": residual,
     }
 
 
@@ -115,11 +119,12 @@ def cmd_solve(args) -> int:
         return fail(str(exc))
 
     want_partition = args.partition_out is not None
-    round_stats = None
+    pipeline_algo = algo in ("heicut", "heicut-lp")
+    round_stats = stop_reason = residual = None
     peak = storage_nbytes(h)
 
     try:
-        if algo in ("heicut", "heicut-lp"):
+        if pipeline_algo:
             pipeline = PipelineConfig(
                 use_lp=(algo == "heicut-lp"),
                 seed=args.seed,
@@ -130,6 +135,8 @@ def cmd_solve(args) -> int:
             result, state = run_pipeline_detailed(h, pipeline)
             value, block = result.value, result.partition
             round_stats = [asdict(s) for s in state.round_stats]
+            stop_reason = state.stop_reason
+            residual = asdict(state.residual) if state.residual is not None else None
             peak = state.peak_bytes
         elif algo == "trimmer":
             fmt = _parse_fmt_code(args.instance)
@@ -172,6 +179,7 @@ def cmd_solve(args) -> int:
             _record(
                 args.instance, algo, args.seed, config, started, TIMEOUT,
                 value=exc.best.value, peak_memory_bytes=peak, round_stats=round_stats,
+                stop_reason="timeout" if pipeline_algo else None,
             )
         )
         return 0
@@ -186,6 +194,7 @@ def cmd_solve(args) -> int:
         _record(
             args.instance, algo, args.seed, config, started, OK,
             value=value, peak_memory_bytes=peak, round_stats=round_stats,
+            stop_reason=stop_reason, residual=residual,
         )
     )
     return 0

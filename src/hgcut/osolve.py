@@ -4,17 +4,29 @@ One ordering phase greedily grows a prefix: each step selects the
 unordered vertex with the largest total weight of hyperedges that connect
 it to the prefix, where every hyperedge contributes its weight exactly
 once, to all its remaining pins, at the moment it first touches the
-prefix.  The weighted degree of the phase's final vertex is the cut that
-isolates it, and it is a minimum cut separating the last two vertices, so
-contracting those two vertices and repeating over n-1 phases yields the
-global minimum.
+prefix.  That weight is the vertex's key.  The final vertex t has every
+incident hyperedge counted, so its key is the cut isolating t; the
+smallest such candidate over all phases so far is ``best``.
+
+Lemma (maximum-adjacency ordering; Nagamochi and Ibaraki for graphs,
+Klimmek and Wagner 1996 and Chekuri and Xu, SODA 2017, for hypergraphs):
+for consecutive vertices of an ordering, lambda(v_{i-1}, v_i) >=
+key(v_i).  Trimming every hyperedge to the first i vertices leaves those
+vertices an ordering of the trimmed hypergraph with the same keys; its
+last pair is a pendant pair, so the trimmed hypergraph's minimum
+(v_{i-1}, v_i)-cut equals key(v_i), and trimming only lowers cut values.
+So after each phase every pair with key(v_i) >= best is merged: no cut
+cheaper than ``best`` separates it, and min(best, mincut(rest)) stays the
+minimum cut.  The final pair always qualifies (its key is a candidate),
+so each phase merges at least one pair, and phases repeat until one
+vertex is left.
 
 All phases run on one mutable incidence structure built once per solve;
-merging the last two vertices costs the degree of the merged-away vertex,
-not a rebuild.  The survivor keeps the smaller id, so live vertices keep
-their relative order and ties, broken toward the smallest vertex id, fall
-exactly as they would on a relabelled rebuild.  The priority queue is a
-lazy binary heap, so no weight range makes a phase slower.
+merging two vertices costs the degree of the merged-away vertex, not a
+rebuild.  Each run of merged pairs keeps its smallest id, so live
+vertices keep their relative order and ties break toward the smallest
+vertex id.  The priority queue is a lazy binary heap, so no weight range
+makes a phase slower.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ from .hgraph import (
     connected_components,
 )
 
-__all__ = ["MaOrdering", "ma_ordering", "mincut_ordering", "phase_cut_values"]
+__all__ = ["MaOrdering", "OrderingResult", "ma_ordering", "mincut_ordering", "phase_cut_values"]
 
 
 @dataclass(frozen=True)
@@ -41,6 +53,13 @@ class MaOrdering:
 
     order: tuple
     keys: tuple  # indexed by vertex id; connection weight at selection time
+
+
+@dataclass(frozen=True)
+class OrderingResult(CutResult):
+    """A minimum cut from the ordering solver and the phases it ran."""
+
+    phases: int = 0
 
 
 class _Incidence:
@@ -133,8 +152,10 @@ def ma_ordering(h: Hypergraph, start: int = 0) -> MaOrdering:
 
 
 def _run_phases(h: Hypergraph, deadline: Optional[Deadline] = None):
-    """All n-1 ordering phases; returns (best, block, candidates)."""
+    """Ordering phases until one vertex is left, each followed by merging
+    every pair the lemma certifies; returns (best, block, candidates)."""
     inc = _Incidence(h)
+    key = inc.key
     best: Optional[Weight] = None
     best_block: Optional[tuple] = None
     candidates = []
@@ -143,17 +164,30 @@ def _run_phases(h: Hypergraph, deadline: Optional[Deadline] = None):
             raise SolveTimeout(None)
         order = inc.order(inc.live[0])
         t = order[-1]
-        s = order[-2]
-        cand = sum(inc.weights[eid] for eid in inc.incident[t])
+        cand = key[t]
         candidates.append(cand)
         if best is None or cand < best:
             best = cand
             best_block = tuple(inc.members[t])
-        inc.merge(min(s, t), max(s, t))
+        run = [order[0]]
+        for v in order[1:]:
+            if key[v] < best:
+                _merge_run(inc, run)
+                run = [v]
+            else:
+                run.append(v)
+        _merge_run(inc, run)
     return best, best_block, candidates
 
 
-def mincut_ordering(h: Hypergraph, deadline: Optional[Deadline] = None) -> CutResult:
+def _merge_run(inc: _Incidence, run: list) -> None:
+    keep = min(run)
+    for v in run:
+        if v != keep:
+            inc.merge(keep, v)
+
+
+def mincut_ordering(h: Hypergraph, deadline: Optional[Deadline] = None) -> OrderingResult:
     """Exact minimum cut; disconnected inputs yield 0 along a component."""
     n = h.vertex_count
     if n < 2:
@@ -161,12 +195,13 @@ def mincut_ordering(h: Hypergraph, deadline: Optional[Deadline] = None) -> CutRe
     labels = connected_components(h)
     if max(labels) != 0:
         block = frozenset(v for v in range(n) if labels[v] == 0)
-        return CutResult(value=0, partition=block, provenance=PROVENANCE_ORDERING)
-    best, block, _ = _run_phases(h, deadline)
-    return CutResult(
+        return OrderingResult(value=0, partition=block, provenance=PROVENANCE_ORDERING)
+    best, block, candidates = _run_phases(h, deadline)
+    return OrderingResult(
         value=best,
         partition=frozenset(block) if block is not None else None,
         provenance=PROVENANCE_ORDERING,
+        phases=len(candidates),
     )
 
 

@@ -8,10 +8,13 @@ structure that provably cannot sit on a cut cheaper than the bound, so
     min(upper_bound, mincut(reduced)) == mincut(input)
 
 holds after every rule application; the final answer folds the bound back
-in.  Rounds apply the rules in a fixed order, each at most once per round,
-and repeat until a round changes nothing, the bound reaches zero or one
-vertex remains.  What remains goes to a residual solver (exact ordering
-solver or the branch-and-bound relaxation).
+in.  Rounds apply the rules in a fixed order, each at most once per round.
+A rule's outcome depends only on the current hypergraph and the bound, so
+reduction stops at a fixpoint as soon as every rule in a row, counted
+across round boundaries, has left both unchanged; it also stops when the
+bound reaches zero or one vertex remains.  What remains goes to a
+residual solver (exact ordering solver or the branch-and-bound
+relaxation).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .hgraph import (
 __all__ = [
     "PipelineConfig",
     "PipelineState",
+    "ResidualStats",
     "RuleStats",
     "RULE_ORDER",
     "initial_state",
@@ -80,6 +84,22 @@ class RuleStats:
 
 
 @dataclass
+class ResidualStats:
+    """The residual hypergraph and what its solver did: ``phases`` for the
+    exact solver, ``nodes`` and ``pivots`` for the binary program.  A
+    disconnected residual needs no solver (status ``disconnected``)."""
+
+    solver: str
+    n: int
+    m: int
+    p: int
+    status: str
+    phases: Optional[int] = None
+    nodes: Optional[int] = None
+    pivots: Optional[int] = None
+
+
+@dataclass
 class PipelineState:
     current: Hypergraph
     log: ContractionLog
@@ -90,6 +110,10 @@ class PipelineState:
     round_index: int = 0
     peak_bytes: int = 0
     deadline: Optional[Deadline] = None
+    # why reduction stopped: "fixpoint", "terminal" (one vertex left) or
+    # "zero-bound" (a cut of weight 0 is known); None while running
+    stop_reason: Optional[str] = None
+    residual: Optional[ResidualStats] = None
 
     def replace(self, h: Hypergraph) -> None:
         self.current = h
@@ -542,23 +566,28 @@ def _check_deadline(state: PipelineState) -> None:
 
 def _reduce_rounds(state: PipelineState) -> Optional[CutResult]:
     config = state.config
+    unchanged = 0  # rule calls in a row that changed neither graph nor bound
     while True:
         state.round_index += 1
-        changed = False
         _check_deadline(state)
         if config.use_lp and state.current.vertex_count > 2:
-            changed |= _lp_contract(state)
+            if _lp_contract(state):
+                unchanged = 0
             if state.upper_bound == 0:
+                state.stop_reason = "zero-bound"
                 return _zero_result(state)
         for _, rule in RULE_ORDER:
             _check_deadline(state)
-            changed |= rule(state)
+            unchanged = 0 if rule(state) else unchanged + 1
             if state.upper_bound == 0:
+                state.stop_reason = "zero-bound"
                 return _zero_result(state)
             if state.current.vertex_count == 1:
+                state.stop_reason = "terminal"
                 return _bound_result(state)
-        if not changed:
-            return None
+            if unchanged == len(RULE_ORDER):
+                state.stop_reason = "fixpoint"
+                return None
 
 
 def _solve_residual(state: PipelineState) -> CutResult:
@@ -569,8 +598,13 @@ def _solve_residual(state: PipelineState) -> CutResult:
 
     if h.vertex_count == 1:
         return _bound_result(state)
+    stats = ResidualStats(
+        solver=config.solver, n=h.vertex_count, m=h.edge_count, p=h.pin_count, status="optimal"
+    )
+    state.residual = stats
     labels = connected_components(h)
     if h.edge_count == 0 or max(labels) != 0:
+        stats.status = "disconnected"
         block = None
         if config.want_partition:
             side = [v for v in range(h.vertex_count) if labels[v] == 0]
@@ -579,6 +613,7 @@ def _solve_residual(state: PipelineState) -> CutResult:
 
     if config.solver == "exact":
         res = mincut_ordering(h, state.deadline)
+        stats.phases = res.phases
         solver_value = res.value
         solver_block = (
             state.log.expand_block(res.partition)
@@ -596,6 +631,7 @@ def _solve_residual(state: PipelineState) -> CutResult:
             model,
             SolveLimits(time_limit=remaining, node_limit=config.bip_node_limit),
         )
+        stats.status, stats.nodes, stats.pivots = sol.status, sol.nodes, sol.pivots
         solver_value = sol.value
         solver_block = (
             state.log.expand_block(sol.block)
@@ -633,10 +669,12 @@ def run_pipeline_detailed(
         raise ValueError("minimum cut needs at least two vertices")
     state = initial_state(h, config)
     if state.upper_bound == 0:
+        state.stop_reason = "zero-bound"
         return _zero_result(state), state
 
     labels = connected_components(h)
     if max(labels) != 0:
+        state.stop_reason = "zero-bound"
         block = None
         if state.config.want_partition:
             block = frozenset(v for v in range(h.vertex_count) if labels[v] == 0)

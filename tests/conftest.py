@@ -9,6 +9,7 @@ RUN_RECORD_SCHEMA = {
     "required": [
         "instance", "algorithm", "value", "status", "reason",
         "runtime_ms", "peak_memory_bytes", "seed", "config", "round_stats",
+        "stop_reason", "residual",
     ],
     "properties": {
         "instance": {"type": "string"},
@@ -21,6 +22,23 @@ RUN_RECORD_SCHEMA = {
         "seed": {"type": "integer"},
         "config": {"type": "object"},
         "round_stats": {"type": ["array", "null"]},
+        # pipeline algorithms only; null for the others
+        "stop_reason": {"enum": ["fixpoint", "terminal", "zero-bound", "timeout", None]},
+        "residual": {
+            "type": ["object", "null"],
+            "required": ["solver", "n", "m", "p", "status", "phases", "nodes", "pivots"],
+            "properties": {
+                "solver": {"enum": ["exact", "bip"]},
+                "n": {"type": "integer", "minimum": 2},
+                "m": {"type": "integer", "minimum": 0},
+                "p": {"type": "integer", "minimum": 0},
+                "status": {"enum": ["optimal", "feasible-timeout", "infeasible", "disconnected"]},
+                "phases": {"type": ["integer", "null"], "minimum": 1},
+                "nodes": {"type": ["integer", "null"], "minimum": 0},
+                "pivots": {"type": ["integer", "null"], "minimum": 0},
+            },
+            "additionalProperties": False,
+        },
     },
     "additionalProperties": False,
 }
@@ -85,6 +103,14 @@ def equality_case_instance() -> Hypergraph:
     pins = [[0, 1], [1, 2], [3, 4, 5], [0, 3], [0, 4], [6, 7, 8], [2, 6], [2, 7], [5, 8]]
     weights = [3, 3, 4, 2, 2, 4, 2, 2, 2]
     return Hypergraph(9, pins, weights)
+
+
+def two_cycle_union(n=16, step=5):
+    """Two Hamiltonian cycles of unit two-pin edges on ``n`` vertices, one
+    in id order and one jumping ``step`` ids (coprime to ``n``); 4-regular
+    with minimum cut 4."""
+    cycles = (list(range(n)), [(step * i) % n for i in range(n)])
+    return Hypergraph(n, [[c[i], c[(i + 1) % n]] for c in cycles for i in range(n)])
 
 
 @pytest.fixture

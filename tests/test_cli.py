@@ -5,7 +5,7 @@ import pytest
 
 from hgcut import Hypergraph, load_hypergraph, save_hypergraph
 from hgcut.cli import main, profile_fractions
-from conftest import RUN_RECORD_SCHEMA, profile_fixture_records
+from conftest import RUN_RECORD_SCHEMA, profile_fixture_records, two_cycle_union
 
 
 @pytest.fixture
@@ -46,6 +46,21 @@ class TestSolve:
             record["round_stats"][0]
         )
 
+    def test_pipeline_record_explains_the_stop(self, capsys, tri_file, tmp_path):
+        _, record = run_record(capsys, ["solve", tri_file])
+        assert (record["stop_reason"], record["residual"]) == ("terminal", None)
+        _, record = run_record(capsys, ["solve", tri_file, "--algo", "exact"])
+        assert (record["stop_reason"], record["residual"]) == (None, None)
+        for n, step, solver, work in ((16, 5, "exact", "phases"), (8, 3, "bip", "nodes")):
+            path = tmp_path / f"cycles{n}.hgr"
+            save_hypergraph(two_cycle_union(n, step), path)
+            code, record = run_record(capsys, ["solve", str(path), "--solver", solver])
+            assert code == 0 and record["value"] == 4
+            assert record["stop_reason"] == "fixpoint"
+            residual = record["residual"]
+            assert (residual["solver"], residual["n"], residual["status"]) == (solver, n, "optimal")
+            assert residual[work] >= 1
+
     def test_trimmer_rejects_weighted_file(self, capsys, weighted_file):
         code, record = run_record(capsys, ["solve", weighted_file, "--algo", "trimmer"])
         assert code == 1
@@ -73,6 +88,7 @@ class TestSolve:
         assert code == 0
         assert record["status"] == "timeout-with-incumbent"
         assert record["value"] == 2  # the trivial bound on a triangle
+        assert (record["stop_reason"], record["residual"]) == ("timeout", None)
 
     def test_missing_file_fails(self, capsys, tmp_path):
         code, record = run_record(capsys, ["solve", str(tmp_path / "nope.hgr")])

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from hgcut import (
@@ -7,6 +8,7 @@ from hgcut import (
     GenSpec,
     Hypergraph,
     brute_mincut,
+    connected_components,
     cut_value,
     ma_ordering,
     mincut_ordering,
@@ -16,7 +18,8 @@ from hgcut import (
     run_pipeline,
     trimmer_mincut,
 )
-from conftest import random_instance
+from hgcut.osolve import _Incidence
+from conftest import random_instance, two_cycle_union
 
 
 def two_clusters(n, seed, *, size_range, weight_range, density=4, crossing=3):
@@ -112,7 +115,7 @@ class TestMincutOrdering:
         for seed in range(40):
             h = random_instance(seed)
             candidates = phase_cut_values(h)
-            assert len(candidates) == h.vertex_count - 1
+            assert 1 <= len(candidates) <= h.vertex_count - 1
             assert min(candidates) == mincut_ordering(h).value
             assert all(c >= min(candidates) for c in candidates)
 
@@ -131,6 +134,66 @@ class TestMincutOrdering:
                     list(h.edge_weights()),
                 )
                 assert mincut_ordering(hh).value == truth
+
+
+def separating_minimum(totals, masks, a, b):
+    """Cheapest cut with every vertex of ``a`` inside and of ``b`` outside."""
+    am = sum(1 << v for v in a)
+    bm = sum(1 << v for v in b)
+    return totals[((masks & am) == am) & ((masks & bm) == 0)].min()
+
+
+class TestCertifiedMerges:
+    """Every merge of the solver joins two vertex sets that no cut cheaper
+    than the running best separates (the maximum-adjacency lemma)."""
+
+    def test_no_merge_separates_a_cheaper_cut(self, monkeypatch):
+        order, merge = _Incidence.order, _Incidence.merge
+        running = {}
+        checks = []
+
+        def traced_order(inc, start):
+            result = order(inc, start)
+            cand = inc.key[result[-1]]
+            running["best"] = min(running.get("best", cand), cand)
+            return result
+
+        def traced_merge(inc, keep, gone):
+            checks.append((list(inc.members[keep]), list(inc.members[gone]), running["best"]))
+            merge(inc, keep, gone)
+
+        monkeypatch.setattr(_Incidence, "order", traced_order)
+        monkeypatch.setattr(_Incidence, "merge", traced_merge)
+        mismatches = wrong_values = merges = 0
+        for w_hi in (2, 100, 10_000, 1_000_000):
+            for seed in range(60):
+                rng = random.Random(seed * 31 + w_hi)
+                n = rng.randint(3, 12)
+                edges = [rng.sample(range(n), rng.randint(2, min(6, n))) for _ in range(rng.randint(n, 3 * n))]
+                h = Hypergraph(n, edges, [rng.randint(1, w_hi) for _ in edges])
+                if max(connected_components(h)) != 0:
+                    continue
+                masks = np.arange(1 << n, dtype=np.int64)
+                totals = np.zeros(len(masks), dtype=np.int64)
+                for pins, w in h.edges():
+                    em = sum(1 << v for v in pins)
+                    inside = masks & em
+                    totals += np.where((inside != 0) & (inside != em), w, 0)
+                running.clear()
+                checks.clear()
+                wrong_values += mincut_ordering(h).value != totals[1:-1].min()
+                for a, b, best in checks:
+                    mismatches += separating_minimum(totals, masks, a, b) < best
+                merges += len(checks)
+        assert merges > 1000
+        assert (mismatches, wrong_values) == (0, 0)
+
+    def test_phase_count_repeats_and_falls_below_n_minus_one(self):
+        h = two_cycle_union()
+        runs = [mincut_ordering(h) for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert runs[0].value == 4
+        assert runs[0].phases == len(phase_cut_values(h)) == 9 < h.vertex_count - 1
 
 
 class TestAboveOracleLimit:

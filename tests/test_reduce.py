@@ -9,11 +9,13 @@ from hgcut import (
     brute_mincut,
     connected_components,
     cut_value,
+    mincut_ordering,
     run_pipeline,
     run_pipeline_detailed,
 )
 from hgcut.reduce import (
     RULE_ORDER,
+    _reduce_rounds,
     initial_state,
     rule_heavy_edge,
     rule_heavy_neighborhood,
@@ -303,6 +305,59 @@ class TestPipeline:
             h = random_instance(seed)
             res = run_pipeline(h, PipelineConfig(solver="bip"))
             assert res.value == brute_mincut(h).value
+
+
+class TestStopReasonAndResidual:
+    def test_fixpoint_stops_once_every_rule_saw_the_hypergraph(self):
+        fixpoints = 0
+        for seed in range(40):
+            for unit in (True, False):
+                h = random_instance(seed, unit=unit, n_range=(10, 16), m_range=(30, 48))
+                state = make_state(h)
+                if _reduce_rounds(state) is not None:
+                    continue
+                fixpoints += 1
+                assert state.stop_reason == "fixpoint"
+                # the run ends right after one no-change call of every rule
+                trailing = 0
+                for s in reversed(state.round_stats):
+                    if (s.vertices_before, s.edges_before) != (s.vertices_after, s.edges_after):
+                        break
+                    trailing += 1
+                assert trailing == len(RULE_ORDER)
+                current, bound = state.current, state.upper_bound
+                for _, rule in RULE_ORDER:
+                    assert not rule(state)
+                assert state.current is current and state.upper_bound == bound
+        assert fixpoints >= 10
+
+    def test_terminal_and_zero_bound(self, triangle):
+        _, state = run_pipeline_detailed(triangle)
+        assert (state.stop_reason, state.residual) == ("terminal", None)
+        for h in (Hypergraph(6, [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]),
+                  Hypergraph(3, [[0, 1]])):
+            _, state = run_pipeline_detailed(h)
+            assert (state.stop_reason, state.residual) == ("zero-bound", None)
+
+    def test_residual_records_the_solver_work(self):
+        seen = 0
+        for seed in range(40):
+            h = random_instance(seed, unit=True, n_range=(10, 16), m_range=(30, 48))
+            for solver in ("exact", "bip"):
+                res, state = run_pipeline_detailed(h, PipelineConfig(solver=solver))
+                if state.stop_reason != "fixpoint":
+                    continue
+                seen += 1
+                r, cur = state.residual, state.current
+                assert (r.solver, r.n, r.m, r.p) == (solver, cur.vertex_count, cur.edge_count, cur.pin_count)
+                assert r.status == "optimal"
+                if solver == "exact":
+                    assert r.phases == mincut_ordering(cur).phases
+                    assert 1 <= r.phases <= cur.vertex_count - 1
+                    assert (r.nodes, r.pivots) == (None, None)
+                else:
+                    assert r.phases is None and r.nodes >= 1 and r.pivots >= 0
+        assert seen >= 10
 
 
 class TestStrictness:
