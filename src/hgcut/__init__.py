@@ -4,10 +4,15 @@ Exact cut-preserving reductions shrink the instance, a residual solver
 (maximum-adjacency ordering or relaxed binary program) finishes it, and a
 brute-force oracle, a certificate-trimming baseline, and benchmark
 generators round out the toolkit.
+
+The binary program (``bip``) and the oracle are the only users of numpy;
+their names are imported on first access, so ``import hgcut`` does not
+load numpy.
 """
 
+from importlib import import_module
+
 from ._limits import Deadline, SolveTimeout
-from .bip import BipModel, RelaxedSolution, SolveLimits, build_model, export_lp, solve_relaxed
 from .hgraph import (
     ContractionLog,
     CutResult,
@@ -23,7 +28,6 @@ from .hgraph import (
     save_hypergraph,
 )
 from .lpcluster import Clustering, contract_clusters, propagate_once, score
-from .oracle import brute_mincut, brute_st_mincut
 from .osolve import MaOrdering, ma_ordering, mincut_ordering, phase_cut_values
 from .reduce import PipelineConfig, PipelineState, run_pipeline, run_pipeline_detailed
 from .synth import GenSpec, find_benchmark_core, k2_core, random_hypergraph, randomize_weights
@@ -37,6 +41,24 @@ from .trimmer import (
 )
 
 __version__ = "0.1.0"
+
+# Names re-exported from the numpy-backed modules, by module.
+_LAZY = {
+    **dict.fromkeys(
+        ("BipModel", "RelaxedSolution", "SolveLimits", "build_model", "export_lp", "solve_relaxed"),
+        "bip",
+    ),
+    **dict.fromkeys(("brute_mincut", "brute_st_mincut"), "oracle"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "BackwardLists",

@@ -1,9 +1,14 @@
-"""Cooperative time-limit plumbing shared by the solvers."""
+"""Limits shared by the solvers: cooperative time limits and the vertex cap
+of the brute-force oracle.  Nothing here imports numpy, so the command line
+can read these without loading it."""
 
 from __future__ import annotations
 
 import time
 from typing import Optional
+
+# Largest vertex count the brute-force oracle enumerates by default.
+DEFAULT_MAX_VERTICES = 20
 
 
 class SolveTimeout(Exception):

@@ -5,6 +5,9 @@ JSON run record.  ``profile`` aggregates many such records into the
 within-factor-tau fractions used to compare solvers.  ``gen`` produces
 random instances, re-weighted copies, and peeled benchmark cores.
 
+The ``bip`` and ``oracle`` algorithms import numpy when they run; the
+other commands never load it.
+
 Peak memory in run records is a deterministic estimate from an internal
 size counter (see ``hgraph.storage_nbytes``), not OS-level RSS; exit
 status is 0 exactly when a record reports ``ok`` or
@@ -22,10 +25,8 @@ import time
 from dataclasses import asdict
 from typing import Optional
 
-from ._limits import Deadline, SolveTimeout
-from .bip import SolveLimits, build_model, solve_relaxed, tableau_bytes
+from ._limits import DEFAULT_MAX_VERTICES, Deadline, SolveTimeout
 from .hgraph import load_hypergraph, save_hypergraph, storage_nbytes
-from .oracle import DEFAULT_MAX_VERTICES, brute_mincut
 from .osolve import mincut_ordering
 from .reduce import PipelineConfig, run_pipeline_detailed
 from .synth import GenSpec, find_benchmark_core, random_hypergraph, randomize_weights
@@ -146,6 +147,8 @@ def cmd_solve(args) -> int:
             value, block = res.value, res.partition
             peak = 2 * storage_nbytes(h)
         elif algo == "bip":
+            from .bip import SolveLimits, build_model, solve_relaxed, tableau_bytes
+
             model = build_model(h, mode=args.mode)
             sol = solve_relaxed(model, SolveLimits(time_limit=args.time_limit))
             value, block = sol.value, sol.block
@@ -165,6 +168,8 @@ def cmd_solve(args) -> int:
             value, block = res.value, res.partition
             peak = 2 * storage_nbytes(h)
         elif algo == "oracle":
+            from .oracle import brute_mincut
+
             res = brute_mincut(h, max_vertices=args.max_enumeration)
             value, block = res.value, res.partition
             peak = storage_nbytes(h) + 8 * (1 << max(0, h.vertex_count - 1))

@@ -3,8 +3,8 @@
 A :class:`Hypergraph` is an immutable-after-build incidence structure over
 dense vertex ids ``0..n-1``.  Each hyperedge stores a sorted tuple of
 distinct pins plus a nonnegative weight; vertices carry their own weights.
-The per-vertex incidence index is derived at construction and kept
-consistent with the edge list.
+The per-vertex incidence index is derived from the edge list on first
+use, so hypergraphs that are only scanned edge by edge never build it.
 
 Weights may be ints or floats.  Integer weights are kept exact end to end
 (Python ints do not overflow), which is what makes equality checks against
@@ -17,12 +17,18 @@ are dropped, and edges with identical pin sets are merged by summing their
 weights.  A :class:`ContractionLog` records the merge history so any
 bipartition of a reduced hypergraph can be expanded back to the input
 vertex set with an identical cut value.
+
+The hMetis parser validates every token once: each hyperedge line is split
+once, converted with one ``map(int, ...)`` and range-checked through its
+smallest and largest pin, and the hypergraph is built through the trusted
+constructor path, so the public constructor does not check the pins again.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Weight = Union[int, float]
@@ -118,12 +124,8 @@ class Hypergraph:
         self._pins: list = pins
         self._weights: list = weights
         self._vweights: list = vweights
-        self._p = sum(len(e) for e in pins)
-        incidence: list = [[] for _ in range(n)]
-        for eid, e in enumerate(pins):
-            for v in e:
-                incidence[v].append(eid)
-        self._incidence = incidence
+        self._p = sum(map(len, pins))
+        self._incidence: Optional[list] = None
         self._wdeg: Optional[list] = None
 
     # -- basic queries ----------------------------------------------------
@@ -163,11 +165,22 @@ class Hypergraph:
     def vertex_weights(self) -> tuple:
         return tuple(self._vweights)
 
+    def _incidence_lists(self) -> list:
+        """Incident edge ids per vertex, ascending; built on first use."""
+        incidence = self._incidence
+        if incidence is None:
+            incidence = [[] for _ in range(self._n)]
+            for eid, e in enumerate(self._pins):
+                for v in e:
+                    incidence[v].append(eid)
+            self._incidence = incidence
+        return incidence
+
     def incident(self, v: int) -> Sequence[int]:
-        return self._incidence[v]
+        return self._incidence_lists()[v]
 
     def degree(self, v: int) -> int:
-        return len(self._incidence[v])
+        return len(self._incidence_lists()[v])
 
     def weighted_degree(self, v: int) -> Weight:
         return self.weighted_degrees()[v]
@@ -189,12 +202,12 @@ class Hypergraph:
     def min_degree(self) -> int:
         if self._n == 0:
             raise ValueError("empty hypergraph has no vertex degrees")
-        return min(len(lst) for lst in self._incidence)
+        return min(map(len, self._incidence_lists()))
 
     def max_degree(self) -> int:
         if self._n == 0:
             raise ValueError("empty hypergraph has no vertex degrees")
-        return max(len(lst) for lst in self._incidence)
+        return max(map(len, self._incidence_lists()))
 
     def total_edge_weight(self) -> Weight:
         return sum(self._weights) if self._weights else 0
@@ -266,26 +279,27 @@ class ContractionLog:
             parent[v], v = root, parent[v]
         return root
 
-    def _union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if len(self._members[ra]) < len(self._members[rb]):
-            ra, rb = rb, ra
-        self.merge_order.append((ra, rb))
-        self.parent[rb] = ra
-        self._members[ra].extend(self._members.pop(rb))
-        return ra
-
     def apply_groups(self, groups: Sequence[Sequence[int]], relabel: Sequence[int], new_count: int) -> None:
-        """Record merges of groups of *current* ids and the relabelling map."""
+        """Record merges of groups of *current* ids and the relabelling map.
+
+        Union by size: the larger class keeps its root and absorbs the
+        other's members."""
+        find, parent, members = self.find, self.parent, self._members
+        current = self._current
         for g in groups:
             it = iter(g)
-            acc = self._current[next(it)]
+            ra = find(current[next(it)])
             for v in it:
-                acc = self._union(acc, self._current[v])
+                rb = find(current[v])
+                if ra == rb:
+                    continue
+                if len(members[ra]) < len(members[rb]):
+                    ra, rb = rb, ra
+                self.merge_order.append((ra, rb))
+                parent[rb] = ra
+                members[ra].extend(members.pop(rb))
         new_current = [0] * new_count
-        for old, root in enumerate(self._current):
+        for old, root in enumerate(current):
             new_current[relabel[old]] = root
         self._current = new_current
 
@@ -314,7 +328,9 @@ def contract_groups(
     Groups must be pairwise disjoint.  Merged vertices sum their weights;
     the edge list is rebuilt with deduplicated pins, edges below two pins
     or with zero weight are dropped, and parallel edges (identical pin
-    sets) are merged by summing weights.
+    sets) are merged by summing weights.  Two-pin edges are relabelled
+    without a set or a sort; a single group holding every vertex gives the
+    one-vertex hypergraph without relabelling any edge.
     """
     n = h.vertex_count
     norm = []
@@ -327,6 +343,15 @@ def contract_groups(
         norm.append(gs)
     if not norm:
         return h
+
+    if len(norm) == 1 and len(norm[0]) == n:
+        # One group holds every vertex: no edge survives.
+        total: Weight = 0
+        for c in h._vweights:
+            total += c
+        if log is not None:
+            log.apply_groups(norm, [0] * n, 1)
+        return Hypergraph(1, [], [], [total], _normalized=True)
 
     rep = list(range(n))
     used = bytearray(n)
@@ -349,17 +374,24 @@ def contract_groups(
     new_n = nxt
 
     new_c = [0] * new_n
-    for v in range(n):
-        new_c[relabel[v]] += h.vertex_weight(v)
+    for r, c in zip(relabel, h._vweights):
+        new_c[r] += c
 
     merged: dict = {}
-    for pins, w in h.edges():
+    for pins, w in zip(h._pins, h._weights):
         if w == 0:
             continue
-        mapped = {relabel[v] for v in pins}
-        if len(mapped) < 2:
-            continue
-        key = tuple(sorted(mapped))
+        if len(pins) == 2:
+            a = relabel[pins[0]]
+            b = relabel[pins[1]]
+            if a == b:
+                continue
+            key = (a, b) if a < b else (b, a)
+        else:
+            mapped = {relabel[v] for v in pins}
+            if len(mapped) < 2:
+                continue
+            key = tuple(sorted(mapped))
         if key in merged:
             merged[key] += w
         else:
@@ -397,29 +429,21 @@ def compact(h: Hypergraph) -> Hypergraph:
     with identical pin sets by summing weights.  The vertex set is
     unchanged.  Returns ``h`` itself when nothing needs to change.
     """
-    seen: set = set()
-    dirty = False
-    for pins, w in h.edges():
-        if len(pins) < 2 or w == 0 or pins in seen:
-            dirty = True
-            break
-        seen.add(pins)
-    if not dirty:
-        return h
-
     merged: dict = {}
-    for pins, w in h.edges():
+    for pins, w in zip(h._pins, h._weights):
         if len(pins) < 2 or w == 0:
             continue
         if pins in merged:
             merged[pins] += w
         else:
             merged[pins] = w
+    if len(merged) == len(h._pins):
+        return h
     return Hypergraph(
         h.vertex_count,
         list(merged.keys()),
         list(merged.values()),
-        list(h.vertex_weights()),
+        list(h._vweights),
         _normalized=True,
     )
 
@@ -428,27 +452,41 @@ def compact(h: Hypergraph) -> Hypergraph:
 
 
 def connected_components(h: Hypergraph) -> list:
-    """Component label per vertex; labels are dense, in discovery order."""
+    """Component label per vertex; labels are dense, numbered in the order
+    of each component's smallest vertex.
+
+    Union-find over the edge list, so no incidence index is needed.  A
+    link always keeps the smaller root, so every parent pointer points to a
+    smaller id and one ascending pass reads off the labels.
+    """
     n = h.vertex_count
-    labels = [-1] * n
-    edge_seen = bytearray(h.edge_count)
-    comp = 0
-    for s in range(n):
-        if labels[s] >= 0:
+    parent = list(range(n))
+    for pins in h._pins:
+        if len(pins) < 2:
             continue
-        labels[s] = comp
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for eid in h.incident(v):
-                if edge_seen[eid]:
-                    continue
-                edge_seen[eid] = 1
-                for u in h.pins(eid):
-                    if labels[u] < 0:
-                        labels[u] = comp
-                        stack.append(u)
-        comp += 1
+        it = iter(pins)
+        r = next(it)
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        for v in it:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if v < r:
+                parent[r] = v
+                r = v
+            elif v > r:
+                parent[v] = r
+    labels = [0] * n
+    comp = 0
+    for v in range(n):
+        r = parent[v]
+        if r == v:
+            labels[v] = comp
+            comp += 1
+        else:
+            labels[v] = labels[r]
     return labels
 
 
@@ -528,7 +566,75 @@ def _parse_weight(tok: str, lineno: int) -> Weight:
 
 
 def parse_hmetis(text: str) -> Hypergraph:
-    """Parse hMetis-format text into a Hypergraph (pins become 0-based)."""
+    """Parse hMetis-format text into a Hypergraph (pins become 0-based).
+
+    Each line is split once, as it is read, and each hyperedge line
+    converted with one ``map(int, ...)`` and range-checked through its
+    smallest and largest pin; the hypergraph is then built through the
+    trusted constructor path.  Text with any fault is read again by
+    ``_parse_checked``, which raises with the line and reason of the first
+    fault.
+    """
+    h = _parse_fast(text)
+    return h if h is not None else _parse_checked(text)
+
+
+def _parse_fast(text: str) -> Optional[Hypergraph]:
+    """The hypergraph of well-formed text; None at the first fault."""
+    rows = (toks for toks in map(str.split, text.splitlines()) if toks and toks[0][0] != "%")
+    head = next(rows, None)
+    if head is None or len(head) not in (2, 3):
+        return None
+    fmt = head[2] if len(head) == 3 else "0"
+    if fmt not in ("0", "1", "10", "11"):
+        return None
+    has_ew = fmt in ("1", "11")
+    has_vw = fmt in ("10", "11")
+    pins_lists = []
+    eweights: list = []
+    vweights: Optional[list] = None
+    # Any fault gives up; ``_parse_checked`` then words the message.
+    try:
+        m = int(head[0])
+        n = int(head[1])
+        if m < 0 or n < 0:
+            return None
+        for toks in islice(rows, m):
+            if has_ew:
+                if len(toks) < 2:
+                    return None
+                w = _parse_weight(toks[0], 0)
+                if w < 0:
+                    return None
+                eweights.append(w)
+                pins = sorted(set(map(int, toks[1:])))
+            else:
+                pins = sorted(set(map(int, toks)))
+            if pins[0] < 1 or pins[-1] > n:
+                return None
+            pins_lists.append(tuple([v - 1 for v in pins]))
+        if has_vw:
+            vweights = []
+            for toks in islice(rows, n):
+                if len(toks) != 1:
+                    return None
+                c = _parse_weight(toks[0], 0)
+                if c < 0:
+                    return None
+                vweights.append(c)
+            if len(vweights) != n:
+                return None
+    except ValueError:
+        return None
+    if len(pins_lists) != m or next(rows, None) is not None:
+        return None
+    return Hypergraph(
+        n, pins_lists, eweights if has_ew else [1] * m, vweights, _normalized=True
+    )
+
+
+def _parse_checked(text: str) -> Hypergraph:
+    """``parse_hmetis`` token by token, naming the line of the first fault."""
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()

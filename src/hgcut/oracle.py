@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._limits import DEFAULT_MAX_VERTICES
 from .hgraph import CutResult, Hypergraph, PROVENANCE_ORACLE, Weight
 
 __all__ = ["DEFAULT_MAX_VERTICES", "brute_mincut", "brute_st_mincut"]
-
-DEFAULT_MAX_VERTICES = 20
 
 
 def _edge_masks(h: Hypergraph) -> list:

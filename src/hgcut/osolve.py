@@ -57,7 +57,10 @@ class MaOrdering:
 
 @dataclass(frozen=True)
 class OrderingResult(CutResult):
-    """A minimum cut from the ordering solver and the phases it ran."""
+    """A minimum cut from the ordering solver and the phases it ran.
+
+    ``phases`` is 0 exactly when the input is disconnected; the value is
+    then 0 along the component of vertex 0."""
 
     phases: int = 0
 

@@ -591,6 +591,9 @@ def _reduce_rounds(state: PipelineState) -> Optional[CutResult]:
 
 
 def _solve_residual(state: PipelineState) -> CutResult:
+    """Solve what reduction left.  The residual's connectivity is computed
+    once: ``mincut_ordering`` checks it itself, and only the binary program
+    needs the check here."""
     from .osolve import mincut_ordering
 
     config = state.config
@@ -602,17 +605,11 @@ def _solve_residual(state: PipelineState) -> CutResult:
         solver=config.solver, n=h.vertex_count, m=h.edge_count, p=h.pin_count, status="optimal"
     )
     state.residual = stats
-    labels = connected_components(h)
-    if h.edge_count == 0 or max(labels) != 0:
-        stats.status = "disconnected"
-        block = None
-        if config.want_partition:
-            side = [v for v in range(h.vertex_count) if labels[v] == 0]
-            block = state.log.expand_block(side)
-        return CutResult(value=0, partition=block, provenance=PROVENANCE_REDUCTION)
 
     if config.solver == "exact":
         res = mincut_ordering(h, state.deadline)
+        if res.phases == 0:  # disconnected: a zero cut along one component
+            return _disconnected(state, res.partition)
         stats.phases = res.phases
         solver_value = res.value
         solver_block = (
@@ -624,6 +621,9 @@ def _solve_residual(state: PipelineState) -> CutResult:
     elif config.solver == "bip":
         from .bip import SolveLimits, build_model, solve_relaxed, tableau_bytes
 
+        labels = connected_components(h)
+        if max(labels) != 0:
+            return _disconnected(state, [v for v in range(h.vertex_count) if labels[v] == 0])
         model = build_model(h)
         state.peak_bytes = max(state.peak_bytes, storage_nbytes(h) + tableau_bytes(model))
         remaining = state.deadline.remaining() if state.deadline is not None else None
@@ -650,6 +650,13 @@ def _solve_residual(state: PipelineState) -> CutResult:
     if state.upper_bound < solver_value:
         return _trim_bound(state)
     return CutResult(value=solver_value, partition=solver_block, provenance=solver_prov)
+
+
+def _disconnected(state: PipelineState, side) -> CutResult:
+    """The zero cut of a disconnected residual; ``side`` is one component."""
+    state.residual.status = "disconnected"
+    block = state.log.expand_block(side) if state.config.want_partition else None
+    return CutResult(value=0, partition=block, provenance=PROVENANCE_REDUCTION)
 
 
 def _trim_bound(state: PipelineState) -> CutResult:
