@@ -26,7 +26,7 @@ from dataclasses import asdict
 from typing import Optional
 
 from ._limits import DEFAULT_MAX_VERTICES, Deadline, SolveTimeout
-from .hgraph import load_hypergraph, save_hypergraph, storage_nbytes
+from .hgraph import CutResult, load_hypergraph, save_hypergraph, storage_nbytes
 from .osolve import mincut_ordering
 from .reduce import PipelineConfig, run_pipeline_detailed
 from .synth import GenSpec, find_benchmark_core, random_hypergraph, randomize_weights
@@ -154,15 +154,7 @@ def cmd_solve(args) -> int:
             value, block = sol.value, sol.block
             peak = storage_nbytes(h) + tableau_bytes(model)
             if sol.status == "feasible-timeout":
-                if want_partition and block is not None:
-                    _write_partition(args.partition_out, value, block)
-                _emit(
-                    _record(
-                        args.instance, algo, args.seed, config, started, TIMEOUT,
-                        value=value, peak_memory_bytes=peak,
-                    )
-                )
-                return 0
+                raise SolveTimeout(CutResult(value, block))
         elif algo == "exact":
             res = mincut_ordering(h, Deadline(args.time_limit))
             value, block = res.value, res.partition
@@ -447,8 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     return args.func(args)
 
 

@@ -18,6 +18,13 @@ weights.  A :class:`ContractionLog` records the merge history so any
 bipartition of a reduced hypergraph can be expanded back to the input
 vertex set with an identical cut value.
 
+A reduction rule asks for a contraction by listing *links*: vertex tuples
+whose members must end in one vertex, which may overlap.  ``_roots``
+closes the links (the one union-find over current vertex ids; the log's
+``find`` works on input ids), the closed classes become the groups of one
+``contract_groups`` call, and ``connected_components`` is the same closure
+over the edge list.
+
 The hMetis parser validates every token once: each hyperedge line is split
 once, converted with one ``map(int, ...)`` and range-checked through its
 smallest and largest pin, and the hypergraph is built through the trusted
@@ -451,20 +458,21 @@ def compact(h: Hypergraph) -> Hypergraph:
 # -- traversal and cut evaluation --------------------------------------------
 
 
-def connected_components(h: Hypergraph) -> list:
-    """Component label per vertex; labels are dense, numbered in the order
-    of each component's smallest vertex.
+def _roots(n: int, links: Iterable[Sequence[int]]) -> list:
+    """Close the vertices ``0..n-1`` under ``links``: every link (a pin
+    tuple, a pair or a list, possibly overlapping others) puts its members
+    in one class.  Returns each vertex's root, the smallest vertex of its
+    class.
 
-    Union-find over the edge list, so no incidence index is needed.  A
-    link always keeps the smaller root, so every parent pointer points to a
-    smaller id and one ascending pass reads off the labels.
+    Union-find with path halving.  A link always keeps the smaller root,
+    so every parent pointer points to a smaller id and one ascending pass
+    resolves each vertex to its root.
     """
-    n = h.vertex_count
     parent = list(range(n))
-    for pins in h._pins:
-        if len(pins) < 2:
+    for link in links:
+        if len(link) < 2:
             continue
-        it = iter(pins)
+        it = iter(link)
         r = next(it)
         while parent[r] != r:
             parent[r] = parent[parent[r]]
@@ -478,10 +486,21 @@ def connected_components(h: Hypergraph) -> list:
                 r = v
             elif v > r:
                 parent[v] = r
-    labels = [0] * n
-    comp = 0
     for v in range(n):
-        r = parent[v]
+        parent[v] = parent[parent[v]]
+    return parent
+
+
+def connected_components(h: Hypergraph) -> list:
+    """Component label per vertex; labels are dense, numbered in the order
+    of each component's smallest vertex.
+
+    The closure of the edge list, so no incidence index is needed.
+    """
+    labels = _roots(h.vertex_count, h._pins)
+    comp = 0
+    for v in range(len(labels)):
+        r = labels[v]  # v's root; smaller entries already hold labels
         if r == v:
             labels[v] = comp
             comp += 1

@@ -15,12 +15,18 @@ across round boundaries, has left both unchanged; it also stops when the
 bound reaches zero or one vertex remains.  What remains goes to a
 residual solver (exact ordering solver or the branch-and-bound
 relaxation).
+
+A rule asks for a contraction by collecting *links*: vertex tuples whose
+members must end in one vertex (a heavy edge's pins, a pair, a nested
+component), which may overlap.  It hands them all to ``_contract``, which
+closes them with ``hgraph._roots`` and makes one ``contract_groups`` call.
+The driver, not the rule, records each call's effect in ``round_stats``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ._limits import Deadline, SolveTimeout
 from .hgraph import (
@@ -32,6 +38,7 @@ from .hgraph import (
     PROVENANCE_REDUCTION,
     PROVENANCE_TRIVIAL,
     Weight,
+    _roots,
     compact,
     connected_components,
     contract_groups,
@@ -154,35 +161,6 @@ def update_upper_bound(state: PipelineState) -> Weight:
     return state.upper_bound
 
 
-class _UnionFind:
-    """Disjoint sets over current vertex ids, for batching contractions."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-    def groups(self) -> list:
-        by_root: dict = {}
-        for v in range(len(self.parent)):
-            by_root.setdefault(self.find(v), []).append(v)
-        return [g for g in by_root.values() if len(g) >= 2]
-
-
 def _note(state: PipelineState, rule: str, before: Hypergraph) -> None:
     after = state.current
     state.round_stats.append(
@@ -199,10 +177,20 @@ def _note(state: PipelineState, rule: str, before: Hypergraph) -> None:
     )
 
 
-def _contract(state: PipelineState, uf: _UnionFind) -> bool:
-    groups = uf.groups()
-    if not groups:
+def _contract(state: PipelineState, links: Iterable[Sequence[int]]) -> bool:
+    """Contract each class of the closure of ``links`` into one vertex.
+
+    Groups go to ``contract_groups`` by ascending root (the class's
+    smallest vertex), members ascending; that order fixes the log's
+    ``merge_order`` and which input vertex represents each class.
+    """
+    by_root: dict = {}
+    for v, r in enumerate(_roots(state.current.vertex_count, links)):
+        if r != v:
+            by_root.setdefault(r, [r]).append(v)
+    if not by_root:
         return False
+    groups = [by_root[r] for r in sorted(by_root)]
     state.replace(contract_groups(state.current, groups, state.log))
     update_upper_bound(state)
     return True
@@ -214,14 +202,12 @@ def _contract(state: PipelineState, uf: _UnionFind) -> bool:
 def rule_singleton(state: PipelineState) -> bool:
     """Drop hyperedges that can never be cut (single pin or zero weight);
     parallel edges are merged along the way."""
-    before = state.current
-    h = compact(before)
-    applied = h is not before
-    if applied:
-        state.replace(h)
-        update_upper_bound(state)
-    _note(state, "singleton", before)
-    return applied
+    h = compact(state.current)
+    if h is state.current:
+        return False
+    state.replace(h)
+    update_upper_bound(state)
+    return True
 
 
 def rule_heavy_edge(state: PipelineState) -> bool:
@@ -231,23 +217,12 @@ def rule_heavy_edge(state: PipelineState) -> bool:
     pins can merge.  Contractions merge parallel edges and may create new
     qualifying edges, so the scan repeats until none are left.
     """
-    before = state.current
     applied = False
-    while state.upper_bound > 0:
-        h = state.current
+    while state.upper_bound > 0 and state.current.vertex_count > 1:
         bound = state.upper_bound
-        uf = _UnionFind(h.vertex_count)
-        for pins, w in h.edges():
-            if len(pins) >= 2 and w >= bound:
-                first = pins[0]
-                for v in pins[1:]:
-                    uf.union(first, v)
-        if not _contract(state, uf):
+        if not _contract(state, [pins for pins, w in state.current.edges() if w >= bound]):
             break
         applied = True
-        if state.current.vertex_count <= 1:
-            break
-    _note(state, "heavy-edge", before)
     return applied
 
 
@@ -260,29 +235,26 @@ def rule_heavy_overlap(state: PipelineState) -> bool:
     squared edge sizes.  Larger overlapping sets collapse over successive
     rounds through cascaded pair contractions.
     """
-    before = state.current
-    applied = False
     bound = state.upper_bound
-    if bound > 0:
-        h = state.current
-        wdeg = h.weighted_degrees()
-        uf = _UnionFind(h.vertex_count)
-        shared: dict = {}
-        for u in range(h.vertex_count):
-            if wdeg[u] < bound:
-                continue
-            shared.clear()
-            for eid in h.incident(u):
-                w = h.weight(eid)
-                for v in h.pins(eid):
-                    if v > u:
-                        shared[v] = shared.get(v, 0) + w
-            for v, total in shared.items():
-                if total >= bound:
-                    uf.union(u, v)
-        applied = _contract(state, uf)
-    _note(state, "heavy-overlap", before)
-    return applied
+    if bound <= 0:
+        return False
+    h = state.current
+    wdeg = h.weighted_degrees()
+    links = []
+    shared: dict = {}
+    for u in range(h.vertex_count):
+        if wdeg[u] < bound:
+            continue
+        shared.clear()
+        for eid in h.incident(u):
+            w = h.weight(eid)
+            for v in h.pins(eid):
+                if v > u:
+                    shared[v] = shared.get(v, 0) + w
+        for v, total in shared.items():
+            if total >= bound:
+                links.append((u, v))
+    return _contract(state, links)
 
 
 def rule_nested_substructure(state: PipelineState) -> bool:
@@ -296,7 +268,6 @@ def rule_nested_substructure(state: PipelineState) -> bool:
     all of e) merges without changing any cut.  Superset edges are ignored:
     they cannot carry a path that leaves e without containing it.
     """
-    before = state.current
     h = state.current
     m = h.edge_count
     pin_sets = [None] * m
@@ -308,7 +279,7 @@ def rule_nested_substructure(state: PipelineState) -> bool:
             pin_sets[eid] = s
         return s
 
-    uf = _UnionFind(h.vertex_count)
+    links = []
     used = bytearray(h.vertex_count)
     for parent in range(m):
         pins = h.pins(parent)
@@ -333,17 +304,16 @@ def rule_nested_substructure(state: PipelineState) -> bool:
         if not subs:
             continue
 
-        local: dict = {}
-        for eid in subs:
-            vs = sorted(pset(eid))
-            local.setdefault(vs[0], vs[0])
-            for v in vs[1:]:
-                _local_union(local, vs[0], v)
+        # components of the subset edges, over positions inside e
+        pos = {v: i for i, v in enumerate(pins)}
+        roots = _roots(len(pins), [[pos[v] for v in h.pins(eid)] for eid in subs])
         comps: dict = {}
-        for v in local:
-            comps.setdefault(_local_find(local, v), []).append(v)
-        for comp in sorted(comps.values(), key=min):
-            if len(comp) < 2 or len(comp) >= len(parent_set):
+        for i, r in enumerate(roots):
+            if r != i:
+                comps.setdefault(r, [pins[r]]).append(pins[i])
+        for r in sorted(comps):
+            comp = comps[r]
+            if len(comp) >= len(pins):
                 continue
             if any(v in tainted for v in comp):
                 continue
@@ -351,33 +321,8 @@ def rule_nested_substructure(state: PipelineState) -> bool:
                 continue
             for v in comp:
                 used[v] = 1
-            first = comp[0]
-            for v in comp[1:]:
-                uf.union(first, v)
-
-    applied = _contract(state, uf)
-    _note(state, "nested-substructure", before)
-    return applied
-
-
-def _local_find(parent: dict, v: int) -> int:
-    root = v
-    while parent[root] != root:
-        root = parent[root]
-    while parent[v] != root:
-        parent[v], v = root, parent[v]
-    return root
-
-
-def _local_union(parent: dict, a: int, b: int) -> int:
-    parent.setdefault(a, a)
-    parent.setdefault(b, b)
-    ra, rb = _local_find(parent, a), _local_find(parent, b)
-    if ra != rb:
-        if rb < ra:
-            ra, rb = rb, ra
-        parent[rb] = ra
-    return ra
+            links.append(comp)
+    return _contract(state, links)
 
 
 def _pair_weights(h: Hypergraph) -> Tuple[dict, dict]:
@@ -396,42 +341,28 @@ def _pair_weights(h: Hypergraph) -> Tuple[dict, dict]:
     return pair_w, neighbors
 
 
-def rule_imbalanced_vertex(
-    state: PipelineState,
-    *,
-    strict: bool = True,
-    mark: bool = True,
-) -> bool:
+def rule_imbalanced_vertex(state: PipelineState) -> bool:
     """Contract a two-pin edge that outweighs half of an endpoint's degree.
 
     The inequality must be strict: two equal-weight edges sharing a pin can
     otherwise both qualify through that pin, and contracting them together
-    assumes the shared vertex sits on both sides of a cut at once.  The
-    non-strict, unmarked variant exists only so tests can demonstrate that
-    failure.  Each vertex joins at most one contraction per pass.
+    assumes the shared vertex sits on both sides of a cut at once.  Each
+    vertex joins at most one contraction per pass.
     """
-    before = state.current
     h = state.current
     wdeg = h.weighted_degrees()
     marked = bytearray(h.vertex_count)
-    uf = _UnionFind(h.vertex_count)
+    links = []
     for pins, w in h.edges():
         if len(pins) != 2:
             continue
         u, v = pins
-        if mark and (marked[u] or marked[v]):
+        if marked[u] or marked[v]:
             continue
-        doubled = 2 * w
-        if strict:
-            hit = wdeg[u] < doubled or wdeg[v] < doubled
-        else:
-            hit = wdeg[u] <= doubled or wdeg[v] <= doubled
-        if hit:
-            uf.union(u, v)
+        if wdeg[u] < 2 * w or wdeg[v] < 2 * w:
+            links.append(pins)
             marked[u] = marked[v] = 1
-    applied = _contract(state, uf)
-    _note(state, "imbalanced-vertex", before)
-    return applied
+    return _contract(state, links)
 
 
 def rule_imbalanced_triangle(state: PipelineState) -> bool:
@@ -447,12 +378,11 @@ def rule_imbalanced_triangle(state: PipelineState) -> bool:
     Only trivial cuts can be lost, and those are already folded into the
     running bound.
     """
-    before = state.current
     h = state.current
     wdeg = h.weighted_degrees()
     pair_w, neighbors = _pair_weights(h)
     marked = bytearray(h.vertex_count)
-    uf = _UnionFind(h.vertex_count)
+    links = []
     for (u, v), w_uv in pair_w.items():
         if marked[u] or marked[v]:
             continue
@@ -463,12 +393,10 @@ def rule_imbalanced_triangle(state: PipelineState) -> bool:
         common = nu.keys() & nv.keys()
         for w in sorted(common):
             if wdeg[u] <= 2 * (w_uv + nu[w]) and wdeg[v] <= 2 * (w_uv + nv[w]):
-                uf.union(u, v)
+                links.append((u, v))
                 marked[u] = marked[v] = 1
                 break
-    applied = _contract(state, uf)
-    _note(state, "imbalanced-triangle", before)
-    return applied
+    return _contract(state, links)
 
 
 def rule_heavy_neighborhood(state: PipelineState) -> bool:
@@ -479,29 +407,25 @@ def rule_heavy_neighborhood(state: PipelineState) -> bool:
     neighbor, so it could not beat the bound.  Per-pass vertex marking, as
     above.
     """
-    before = state.current
-    applied = False
     bound = state.upper_bound
-    if bound > 0:
-        h = state.current
-        pair_w, neighbors = _pair_weights(h)
-        marked = bytearray(h.vertex_count)
-        uf = _UnionFind(h.vertex_count)
-        for (u, v), w_uv in pair_w.items():
-            if marked[u] or marked[v]:
-                continue
-            total = w_uv
-            nu = neighbors.get(u)
-            nv = neighbors.get(v)
-            if nu and nv:
-                for w in nu.keys() & nv.keys():
-                    total += min(nu[w], nv[w])
-            if total >= bound:
-                uf.union(u, v)
-                marked[u] = marked[v] = 1
-        applied = _contract(state, uf)
-    _note(state, "heavy-neighborhood", before)
-    return applied
+    if bound <= 0:
+        return False
+    pair_w, neighbors = _pair_weights(state.current)
+    marked = bytearray(state.current.vertex_count)
+    links = []
+    for (u, v), w_uv in pair_w.items():
+        if marked[u] or marked[v]:
+            continue
+        total = w_uv
+        nu = neighbors.get(u)
+        nv = neighbors.get(v)
+        if nu and nv:
+            for w in nu.keys() & nv.keys():
+                total += min(nu[w], nv[w])
+        if total >= bound:
+            links.append((u, v))
+            marked[u] = marked[v] = 1
+    return _contract(state, links)
 
 
 RULE_ORDER: Tuple[Tuple[str, Callable[[PipelineState], bool]], ...] = (
@@ -522,7 +446,6 @@ def _lp_contract(state: PipelineState) -> bool:
     from .lpcluster import Clustering, contract_clusters, propagate_once
 
     config = state.config
-    before = state.current
     iters = max(1, config.lp_iterations)
     labels = None
     seed0 = (config.seed * 1_000_003 + state.round_index * 101) & 0x7FFFFFFF
@@ -532,36 +455,32 @@ def _lp_contract(state: PipelineState) -> bool:
     h = contract_clusters(
         state.current, Clustering(labels=labels, iterations=iters, seed=seed0), state.log
     )
-    changed = h is not state.current
-    if changed:
-        state.replace(h)
-        update_upper_bound(state)
-    _note(state, "label-propagation", before)
-    return changed
+    if h is state.current:
+        return False
+    state.replace(h)
+    update_upper_bound(state)
+    return True
 
 
-def _zero_result(state: PipelineState) -> CutResult:
-    return CutResult(value=0, partition=state.bound_block, provenance=PROVENANCE_TRIVIAL)
-
-
-def _bound_result(state: PipelineState) -> CutResult:
+def _result(state: PipelineState, provenance: str, value=None, side=None) -> CutResult:
+    """A cut the pipeline knows without a solver: by default the running
+    bound and the block that certifies it.  The zero cuts pass ``value``
+    as the int 0 (a float bound of 0.0 would print otherwise); a
+    disconnected hypergraph passes one component's current ids as
+    ``side``."""
+    block = state.bound_block
+    if side is not None:
+        block = state.log.expand_block(side) if state.config.want_partition else None
     return CutResult(
-        value=state.upper_bound,
-        partition=state.bound_block,
-        provenance=PROVENANCE_REDUCTION,
+        value=state.upper_bound if value is None else value,
+        partition=block,
+        provenance=provenance,
     )
 
 
 def _check_deadline(state: PipelineState) -> None:
     if state.deadline is not None and state.deadline.expired():
-        best = None
-        if state.upper_bound < INF:
-            best = CutResult(
-                value=state.upper_bound,
-                partition=state.bound_block,
-                provenance=PROVENANCE_TRIVIAL,
-            )
-        raise SolveTimeout(best)
+        raise SolveTimeout(_result(state, PROVENANCE_TRIVIAL) if state.upper_bound < INF else None)
 
 
 def _reduce_rounds(state: PipelineState) -> Optional[CutResult]:
@@ -571,20 +490,24 @@ def _reduce_rounds(state: PipelineState) -> Optional[CutResult]:
         state.round_index += 1
         _check_deadline(state)
         if config.use_lp and state.current.vertex_count > 2:
+            before = state.current
             if _lp_contract(state):
                 unchanged = 0
+            _note(state, "label-propagation", before)
             if state.upper_bound == 0:
                 state.stop_reason = "zero-bound"
-                return _zero_result(state)
-        for _, rule in RULE_ORDER:
+                return _result(state, PROVENANCE_TRIVIAL, 0)
+        for name, rule in RULE_ORDER:
             _check_deadline(state)
+            before = state.current
             unchanged = 0 if rule(state) else unchanged + 1
+            _note(state, name, before)
             if state.upper_bound == 0:
                 state.stop_reason = "zero-bound"
-                return _zero_result(state)
+                return _result(state, PROVENANCE_TRIVIAL, 0)
             if state.current.vertex_count == 1:
                 state.stop_reason = "terminal"
-                return _bound_result(state)
+                return _result(state, PROVENANCE_REDUCTION)
             if unchanged == len(RULE_ORDER):
                 state.stop_reason = "fixpoint"
                 return None
@@ -600,7 +523,7 @@ def _solve_residual(state: PipelineState) -> CutResult:
     h = state.current
 
     if h.vertex_count == 1:
-        return _bound_result(state)
+        return _result(state, PROVENANCE_REDUCTION)
     stats = ResidualStats(
         solver=config.solver, n=h.vertex_count, m=h.edge_count, p=h.pin_count, status="optimal"
     )
@@ -609,7 +532,8 @@ def _solve_residual(state: PipelineState) -> CutResult:
     if config.solver == "exact":
         res = mincut_ordering(h, state.deadline)
         if res.phases == 0:  # disconnected: a zero cut along one component
-            return _disconnected(state, res.partition)
+            stats.status = "disconnected"
+            return _result(state, PROVENANCE_REDUCTION, 0, res.partition)
         stats.phases = res.phases
         solver_value = res.value
         solver_block = (
@@ -623,7 +547,8 @@ def _solve_residual(state: PipelineState) -> CutResult:
 
         labels = connected_components(h)
         if max(labels) != 0:
-            return _disconnected(state, [v for v in range(h.vertex_count) if labels[v] == 0])
+            stats.status = "disconnected"
+            return _result(state, PROVENANCE_REDUCTION, 0, (v for v, c in enumerate(labels) if c == 0))
         model = build_model(h)
         state.peak_bytes = max(state.peak_bytes, storage_nbytes(h) + tableau_bytes(model))
         remaining = state.deadline.remaining() if state.deadline is not None else None
@@ -640,31 +565,15 @@ def _solve_residual(state: PipelineState) -> CutResult:
         )
         solver_prov = PROVENANCE_BIP
         if sol.status == "feasible-timeout":
-            value = min(state.upper_bound, solver_value)
-            if value == state.upper_bound:
-                raise SolveTimeout(_trim_bound(state))
+            if state.upper_bound <= solver_value:
+                raise SolveTimeout(_result(state, PROVENANCE_TRIVIAL))
             raise SolveTimeout(CutResult(value=solver_value, partition=solver_block, provenance=solver_prov))
     else:
         raise ValueError(f"unknown residual solver: {config.solver!r}")
 
     if state.upper_bound < solver_value:
-        return _trim_bound(state)
+        return _result(state, PROVENANCE_TRIVIAL)
     return CutResult(value=solver_value, partition=solver_block, provenance=solver_prov)
-
-
-def _disconnected(state: PipelineState, side) -> CutResult:
-    """The zero cut of a disconnected residual; ``side`` is one component."""
-    state.residual.status = "disconnected"
-    block = state.log.expand_block(side) if state.config.want_partition else None
-    return CutResult(value=0, partition=block, provenance=PROVENANCE_REDUCTION)
-
-
-def _trim_bound(state: PipelineState) -> CutResult:
-    return CutResult(
-        value=state.upper_bound,
-        partition=state.bound_block,
-        provenance=PROVENANCE_TRIVIAL,
-    )
 
 
 def run_pipeline_detailed(
@@ -677,18 +586,13 @@ def run_pipeline_detailed(
     state = initial_state(h, config)
     if state.upper_bound == 0:
         state.stop_reason = "zero-bound"
-        return _zero_result(state), state
+        return _result(state, PROVENANCE_TRIVIAL, 0), state
 
     labels = connected_components(h)
     if max(labels) != 0:
         state.stop_reason = "zero-bound"
-        block = None
-        if state.config.want_partition:
-            block = frozenset(v for v in range(h.vertex_count) if labels[v] == 0)
-        return (
-            CutResult(value=0, partition=block, provenance=PROVENANCE_REDUCTION),
-            state,
-        )
+        side = (v for v, c in enumerate(labels) if c == 0)
+        return _result(state, PROVENANCE_REDUCTION, 0, side), state
 
     result = _reduce_rounds(state)
     if result is None:

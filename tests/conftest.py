@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hgcut import GenSpec, Hypergraph, random_hypergraph
+from hgcut.reduce import _contract
 
 RUN_RECORD_SCHEMA = {
     "type": "object",
@@ -103,6 +104,20 @@ def equality_case_instance() -> Hypergraph:
     pins = [[0, 1], [1, 2], [3, 4, 5], [0, 3], [0, 4], [6, 7, 8], [2, 6], [2, 7], [5, 8]]
     weights = [3, 3, 4, 2, 2, 4, 2, 2, 2]
     return Hypergraph(9, pins, weights)
+
+
+def loose_imbalanced_vertex(state) -> bool:
+    """The imbalanced-vertex rule without its two safeguards: a two-pin edge
+    contracts when twice its weight merely reaches an endpoint's degree, and
+    no vertex is marked, so two equal edges sharing a pin both contract.
+    ``equality_case_instance`` shows that this variant is not exact."""
+    wdeg = state.current.weighted_degrees()
+    links = [
+        pins
+        for pins, w in state.current.edges()
+        if len(pins) == 2 and (wdeg[pins[0]] <= 2 * w or wdeg[pins[1]] <= 2 * w)
+    ]
+    return _contract(state, links)
 
 
 def two_cycle_union(n=16, step=5):

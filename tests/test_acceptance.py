@@ -29,6 +29,7 @@ from hgcut.reduce import RULE_ORDER, initial_state, rule_imbalanced_vertex
 from conftest import (
     RUN_RECORD_SCHEMA,
     equality_case_instance,
+    loose_imbalanced_vertex,
     profile_fixture_records,
     random_instance,
 )
@@ -108,7 +109,7 @@ def test_criterion_4_strictness_regression():
     pipeline_exact = run_pipeline(h).value == truth
 
     loose_state = initial_state(h, PipelineConfig())
-    rule_imbalanced_vertex(loose_state, strict=False, mark=False)
+    loose_imbalanced_vertex(loose_state)
     reduced = loose_state.current
     if reduced.vertex_count >= 2:
         loose_value = min(loose_state.upper_bound, brute_mincut(reduced).value)

@@ -25,6 +25,8 @@ from hgcut import (
     parse_hmetis,
     run_pipeline_detailed,
 )
+from hgcut.hgraph import _roots
+from hgcut.reduce import _contract, initial_state
 from conftest import random_instance, two_cycle_union
 
 # -- referee parser: checks every token and builds through the validating
@@ -443,6 +445,82 @@ class TestComponents:
             h = Hypergraph(n, edges)
             assert connected_components(h) == reference_components(h)
             assert h._incidence is None
+
+
+# -- one closure for every contraction ----------------------------------------------
+
+
+def reference_roots(n, links):
+    """Each vertex's smallest class member, by a search over the links."""
+    touching = [[] for _ in range(n)]
+    for i, link in enumerate(links):
+        for v in link:
+            touching[v].append(i)
+    roots = [-1] * n
+    for s in range(n):
+        if roots[s] >= 0:
+            continue
+        roots[s], stack = s, [s]
+        while stack:
+            for i in touching[stack.pop()]:
+                for u in links[i]:
+                    if roots[u] < 0:
+                        roots[u] = s
+                        stack.append(u)
+    return roots
+
+
+@st.composite
+def link_lists(draw):
+    """Vertex count and links: overlapping tuples and lists, empty and
+    one-pin links, repeated vertices, or no links at all."""
+    n = draw(st.integers(0, 24))
+    if n == 0:
+        return 0, []
+    link = st.lists(st.integers(0, n - 1), max_size=5)
+    return n, draw(st.lists(st.one_of(link, link.map(tuple)), max_size=n + 3))
+
+
+def closed_groups(n, links):
+    by_root = {}
+    for v, r in enumerate(reference_roots(n, links)):
+        by_root.setdefault(r, []).append(v)
+    return [g for _, g in sorted(by_root.items()) if len(g) >= 2]
+
+
+class TestClosure:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(link_lists())
+    def test_roots_match_search(self, case):
+        n, links = case
+        assert _roots(n, links) == reference_roots(n, links)
+
+    def test_contract_equals_contract_groups_on_closed_groups(self):
+        for seed in range(120):
+            rng = random.Random(seed)
+            h = random_instance(seed)
+            n = h.vertex_count
+            if seed % 3 == 0:  # float weights: the summation order must match
+                h = Hypergraph(
+                    n,
+                    [h.pins(e) for e in range(h.edge_count)],
+                    [w / 10 for w in h.edge_weights()],
+                    [rng.random() for _ in range(n)],
+                )
+            links = [
+                tuple(rng.choice(range(n)) for _ in range(rng.randint(0, 3)))
+                for _ in range(rng.randint(0, n))
+            ]
+            state = initial_state(h, PipelineConfig(want_partition=True))
+            ref_log = ContractionLog(n)
+            groups = closed_groups(n, links)
+            ref = contract_groups(h, groups, ref_log)
+            assert _contract(state, links) == bool(groups)
+            assert same_graph(state.current, ref)
+            assert state.log.merge_order == ref_log.merge_order
+            assert state.log._current == ref_log._current
+            for c in range(ref.vertex_count):
+                assert state.log.expand_block([c]) == ref_log.expand_block([c])
 
 
 # -- one connectivity pass per residual; numpy only where it is used ---------------

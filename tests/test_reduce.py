@@ -26,7 +26,7 @@ from hgcut.reduce import (
     rule_singleton,
     update_upper_bound,
 )
-from conftest import equality_case_instance, random_instance
+from conftest import equality_case_instance, loose_imbalanced_vertex, random_instance
 
 
 def make_state(h, **config):
@@ -154,6 +154,21 @@ class TestRuleNestedSubstructure:
         state = make_state(h)
         assert rule_nested_substructure(state)
         assert state.current.vertex_count == 4
+        check_exact(h, state)
+
+    def test_two_components_in_one_parent_only_untainted_merges(self):
+        # inside parent {1..6}: components {1, 2, 3} and {5, 6}; the edge
+        # {6, 7} leaves the parent, so {5, 6} stays apart
+        h = Hypergraph(
+            8,
+            [[1, 2, 3, 4, 5, 6], [1, 2], [2, 3], [5, 6], [6, 7], list(range(8))],
+            [1, 2, 2, 2, 1, 1],
+        )
+        state = make_state(h, want_partition=True)
+        assert rule_nested_substructure(state)
+        assert state.current.vertex_count == 6
+        merged = [state.log.members_of_current(c) for c in range(6)]
+        assert [m for m in merged if len(m) > 1] == [(1, 2, 3)]
         check_exact(h, state)
 
 
@@ -376,7 +391,7 @@ class TestStrictness:
     def test_non_strict_unmarked_variant_overshoots(self):
         h = equality_case_instance()
         state = make_state(h)
-        assert rule_imbalanced_vertex(state, strict=False, mark=False)
+        assert loose_imbalanced_vertex(state)
         reduced = state.current
         assert reduced.vertex_count >= 2
         overshoot = min(state.upper_bound, brute_mincut(reduced).value)
