@@ -5,45 +5,41 @@ Exact cut-preserving reductions shrink the instance, a residual solver
 brute-force oracle, a certificate-trimming baseline, and benchmark
 generators round out the toolkit.
 
-The binary program (``bip``) and the oracle are the only users of numpy;
-their names are imported on first access, so ``import hgcut`` does not
-load numpy.
+Every public name is imported on first access, so ``import hgcut`` loads
+no submodule; the binary program (``bip``) and the oracle are the only
+users of numpy.
 """
 
 from importlib import import_module
 
-from ._limits import Deadline, SolveTimeout
-from .hgraph import (
-    ContractionLog,
-    CutResult,
-    Hypergraph,
-    compact,
-    connected_components,
-    contract_groups,
-    contract_set,
-    cut_value,
-    format_hmetis,
-    load_hypergraph,
-    parse_hmetis,
-    save_hypergraph,
-)
-from .lpcluster import Clustering, contract_clusters, propagate_once, score
-from .osolve import MaOrdering, ma_ordering, mincut_ordering, phase_cut_values
-from .reduce import PipelineConfig, PipelineState, run_pipeline, run_pipeline_detailed
-from .synth import GenSpec, find_benchmark_core, k2_core, random_hypergraph, randomize_weights
-from .trimmer import (
-    BackwardLists,
-    HeadOrdering,
-    backward_lists,
-    compute_head_ordering,
-    construct_certificate,
-    trimmer_mincut,
-)
-
 __version__ = "0.1.0"
 
-# Names re-exported from the numpy-backed modules, by module.
+# Every re-exported name, by module.  Names resolve on first access, so
+# ``import hgcut.cli`` loads only the modules the command line needs, and
+# numpy stays unloaded until ``bip`` or ``oracle`` is asked for.
 _LAZY = {
+    **dict.fromkeys(("Deadline", "SolveTimeout"), "_limits"),
+    **dict.fromkeys(
+        (
+            "ContractionLog", "CutResult", "Hypergraph", "compact", "connected_components",
+            "contract_groups", "contract_set", "cut_value", "format_hmetis", "load_hypergraph",
+            "parse_hmetis", "save_hypergraph",
+        ),
+        "hgraph",
+    ),
+    **dict.fromkeys(("Clustering", "contract_clusters", "propagate_once", "score"), "lpcluster"),
+    **dict.fromkeys(("MaOrdering", "ma_ordering", "mincut_ordering", "phase_cut_values"), "osolve"),
+    **dict.fromkeys(("PipelineConfig", "PipelineState", "run_pipeline", "run_pipeline_detailed"), "reduce"),
+    **dict.fromkeys(
+        ("GenSpec", "find_benchmark_core", "k2_core", "random_hypergraph", "randomize_weights"), "synth"
+    ),
+    **dict.fromkeys(
+        (
+            "BackwardLists", "HeadOrdering", "backward_lists", "compute_head_ordering",
+            "construct_certificate", "trimmer_mincut",
+        ),
+        "trimmer",
+    ),
     **dict.fromkeys(
         ("BipModel", "RelaxedSolution", "SolveLimits", "build_model", "export_lp", "solve_relaxed"),
         "bip",
@@ -60,50 +56,5 @@ def __getattr__(name: str):
     globals()[name] = value
     return value
 
-__all__ = [
-    "BackwardLists",
-    "BipModel",
-    "Clustering",
-    "ContractionLog",
-    "CutResult",
-    "Deadline",
-    "GenSpec",
-    "HeadOrdering",
-    "Hypergraph",
-    "MaOrdering",
-    "PipelineConfig",
-    "PipelineState",
-    "RelaxedSolution",
-    "SolveLimits",
-    "SolveTimeout",
-    "backward_lists",
-    "brute_mincut",
-    "brute_st_mincut",
-    "build_model",
-    "compact",
-    "compute_head_ordering",
-    "connected_components",
-    "construct_certificate",
-    "contract_clusters",
-    "contract_groups",
-    "contract_set",
-    "cut_value",
-    "export_lp",
-    "find_benchmark_core",
-    "format_hmetis",
-    "k2_core",
-    "load_hypergraph",
-    "ma_ordering",
-    "mincut_ordering",
-    "parse_hmetis",
-    "phase_cut_values",
-    "propagate_once",
-    "random_hypergraph",
-    "randomize_weights",
-    "run_pipeline",
-    "run_pipeline_detailed",
-    "save_hypergraph",
-    "score",
-    "solve_relaxed",
-    "trimmer_mincut",
-]
+
+__all__ = sorted(_LAZY)

@@ -14,12 +14,17 @@ bipartitions.  The reported value is always the recomputed cut of the
 rounded bipartition, never the raw objective, so it is a sound upper
 bound; with generous limits the search is exact up to the tolerance.
 
-Node LPs carry two bound rows per variable, so fixing a binary lowers one
-right-hand side, and a non-negative objective makes the all-slack basis
-dual feasible: the dual simplex runs from it at the root, where ``x_0`` is
-fixed to 1, and from the parent's final tableau at every child.  The dense
-tableaux suit residual instances of modest size; bigger models are meant
-to be exported and handed to an external solver.
+Only the vertex variables branch.  Once they are integral, the LP's
+optimal edge variables are the cut indicators of the positive-weight edges,
+so the LP value is the cut of that bipartition and the node is solved.
+Node LPs carry two bound rows per vertex variable and none for the edge
+variables (``y_e >= 0`` is the LP's own sign constraint, and ``y_e <= 1``
+never binds under a non-negative objective), so fixing a vertex lowers one
+right-hand side.  The non-negative objective also makes the all-slack
+basis dual feasible: the dual simplex runs from it at the root, where
+``x_0`` is fixed to 1, and from the parent's final tableau at every child.
+The dense tableaux suit residual instances of modest size; bigger models
+are meant to be exported and handed to an external solver.
 """
 
 from __future__ import annotations
@@ -134,29 +139,32 @@ _HELD_TABLEAUX = 32
 
 
 def _dense_rows(model: BipModel) -> Tuple[np.ndarray, np.ndarray]:
-    """Rows as A x <= b, then ``x_j <= 1`` and ``-x_j <= 0`` for every var.
+    """Rows as A x <= b, then ``x_v <= 1`` and ``-x_v <= 0`` for the n
+    vertex variables only.
 
-    Fixing a binary lowers one right-hand side by one: ``x_j = 0`` the row
-    ``num_rows + j``, ``x_j = 1`` the row ``num_rows + num_vars + j``.
+    Edge variables need no bound rows: ``y_e >= 0`` is the LP's own
+    ``x >= 0``, and with a non-negative objective ``y_e <= 1`` never binds.
+    Fixing a vertex variable lowers one right-hand side by one: ``x_v = 0``
+    the row ``num_rows + v``, ``x_v = 1`` the row ``num_rows + n + v``.
     """
-    nv, nr = model.num_vars, model.num_rows
-    a = np.zeros((nr + 2 * nv, nv))
-    b = np.zeros(nr + 2 * nv)
+    nv, nr, n = model.num_vars, model.num_rows, model.hypergraph.vertex_count
+    a = np.zeros((nr + 2 * n, nv))
+    b = np.zeros(nr + 2 * n)
     for i, (row, sense, rhs) in enumerate(model.rows):
         sign = 1.0 if sense == "<=" else -1.0
         for j, coef in row:
             a[i, j] = sign * coef
         b[i] = sign * rhs
-    a[nr : nr + nv] = np.eye(nv)
-    a[nr + nv :] = -np.eye(nv)
-    b[nr : nr + nv] = 1.0
+    a[nr : nr + n, :n] = np.eye(n)
+    a[nr + n :, :n] = -np.eye(n)
+    b[nr : nr + n] = 1.0
     return a, b
 
 
 def tableau_bytes(model: BipModel) -> int:
     """Bytes of LP storage ``solve_relaxed`` holds at once: the held parent
     tableaux, the one being solved, and one rebuild from a basis."""
-    nv, rows = model.num_vars, model.num_rows + 2 * model.num_vars
+    nv, rows = model.num_vars, model.num_rows + 2 * model.hypergraph.vertex_count
     rebuild = rows * (2 * rows + 3 * (nv + 1))  # [A I], basis, rhs, result
     return 8 * ((_HELD_TABLEAUX + 1) * (rows + 1) * (nv + 1) + rebuild)
 
@@ -221,29 +229,32 @@ class _Tableau:
         """
         t, basic, nonbasic = self.t, self.basic, self.nonbasic
         tol, switch = 1e-9, 50 * sum(t.shape) + 200
+        rhs, cost = t[:-1, -1], t[-1, :-1]
+        ratios = np.empty(t.shape[1] - 1)
         pivots = 0
         while True:
-            rhs = t[:-1, -1]
-            negative = np.flatnonzero(rhs < -tol)
-            if negative.size == 0:
+            r = rhs.argmin()
+            if rhs[r] >= -tol:
                 return True, pivots
             if pivots > 40 * switch:
                 raise ArithmeticError("dual simplex did not converge")
             if deadline.expired():
                 raise SolveTimeout()
             bland = pivots >= switch
-            r = negative[np.argmin(basic[negative] if bland else rhs[negative])]
+            if bland:
+                r = np.where(rhs < -tol, basic, basic.max() + 1).argmin()
             row = t[r, :-1]
-            cols = np.flatnonzero(row < -tol)
-            if cols.size == 0:
+            cols = row < -tol
+            if not cols.any():
                 return False, pivots  # row r cannot be met with x >= 0
-            ratios = np.maximum(t[-1, cols], 0.0) / -row[cols]
-            ties = cols[ratios <= ratios.min() + tol]
-            k = ties[np.argmin(nonbasic[ties] if bland else row[ties])]
+            ratios.fill(np.inf)
+            np.divide(np.maximum(cost, 0.0), -row, out=ratios, where=cols)
+            ties = ratios <= ratios.min() + tol
+            k = np.where(ties, nonbasic if bland else row, np.inf).argmin()
             p, col = t[r, k], t[:, k].copy()
             col[r] = 0.0
             t[r] /= p
-            t -= np.outer(col, t[r])
+            t -= col[:, None] * t[r]
             t[:, k], t[r, k] = -col / p, 1.0 / p
             basic[r], nonbasic[k] = nonbasic[k], basic[r]
             pivots += 1
@@ -288,9 +299,11 @@ def solve_relaxed(model: BipModel, limits: Optional[SolveLimits] = None) -> Rela
     Every explored point is rounded at one half to a bipartition (moving
     the lightest vertex out if the block takes every vertex) and scored by
     its true cut weight, so an incumbent exists from the start and the best
-    one is returned when a limit stops the search early.  Variables within
-    the integrality tolerance of a bit close a node; branching picks the
-    most fractional variable, ties toward the lowest index.
+    one is returned when a limit stops the search early.  Only the vertex
+    variables branch: a node closes when each is within the integrality
+    tolerance of a bit, since the LP value is then the cut of that
+    bipartition; otherwise the most fractional vertex variable branches,
+    ties toward the lowest index.
 
     The root fixes vertex 0 into the block, since a bipartition and its
     complement cut alike, and solves from the all-slack basis; a child
@@ -301,16 +314,16 @@ def solve_relaxed(model: BipModel, limits: Optional[SolveLimits] = None) -> Rela
     deadline = Deadline(limits.time_limit)
     a, b = _dense_rows(model)
     c = np.array(model.objective, dtype=float)
-    nr, nv = model.num_rows, model.num_vars
+    nr, n = model.num_rows, h.vertex_count
 
     wd = h.weighted_degrees()
-    lightest = min(range(h.vertex_count), key=lambda v: (wd[v], v))
+    lightest = min(range(n), key=lambda v: (wd[v], v))
     best_block = frozenset({lightest})
     best_value: Weight = cut_value(h, best_block) if h.edge_count else 0
 
     # heap entries: (bound, tiebreak, row to lower, parent rhs, parent tableau or None, parent basis)
     root = _Tableau.slack(c, a, b)
-    heap = [(0.0, 0, nr + nv, b, root, root.basic)]  # the root fixes x_0 = 1
+    heap = [(0.0, 0, nr + n, b, root, root.basic)]  # the root fixes x_0 = 1
     held = 1
     status = "optimal"
     nodes = pivots = 0
@@ -338,9 +351,9 @@ def solve_relaxed(model: BipModel, limits: Optional[SolveLimits] = None) -> Rela
             obj = -float(tab.t[-1, -1])
             if obj >= best_value - 1e-9:
                 continue
-            x = tab.point()
-            block = {v for v in range(h.vertex_count) if x[v] >= 0.5}  # holds vertex 0
-            if len(block) == h.vertex_count:
+            x = tab.point()[:n]
+            block = {v for v in range(n) if x[v] >= 0.5}  # holds vertex 0
+            if len(block) == n:
                 block.discard(lightest)
             value = cut_value(h, block)
             if value < best_value:
@@ -349,10 +362,10 @@ def solve_relaxed(model: BipModel, limits: Optional[SolveLimits] = None) -> Rela
             distance = np.abs(x - np.round(x))
             j = int(np.argmax(distance))
             if distance[j] <= limits.tol:
-                continue  # integral point: node fully solved
+                continue  # integral vertex bits: the LP value is their cut
             keep = held + 2 <= _HELD_TABLEAUX
             held += 2 * keep
-            for bit, child_row in enumerate((nr + j, nr + nv + j)):  # x_j = 0, then x_j = 1
+            for bit, child_row in enumerate((nr + j, nr + n + j)):  # x_j = 0, then x_j = 1
                 heapq.heappush(heap, (obj, 2 * nodes + bit, child_row, rhs, tab if keep else None, tab.basic))
     except SolveTimeout:
         status = "feasible-timeout"

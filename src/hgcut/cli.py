@@ -5,8 +5,8 @@ JSON run record.  ``profile`` aggregates many such records into the
 within-factor-tau fractions used to compare solvers.  ``gen`` produces
 random instances, re-weighted copies, and peeled benchmark cores.
 
-The ``bip`` and ``oracle`` algorithms import numpy when they run; the
-other commands never load it.
+Each command imports the modules it needs when it runs: the ``bip`` and
+``oracle`` algorithms load numpy, and the other commands never do.
 
 Peak memory in run records is a deterministic estimate from an internal
 size counter (see ``hgraph.storage_nbytes``), not OS-level RSS; exit
@@ -17,7 +17,6 @@ status is 0 exactly when a record reports ``ok`` or
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -27,10 +26,7 @@ from typing import Optional
 
 from ._limits import DEFAULT_MAX_VERTICES, Deadline, SolveTimeout
 from .hgraph import CutResult, load_hypergraph, save_hypergraph, storage_nbytes
-from .osolve import mincut_ordering
 from .reduce import PipelineConfig, run_pipeline_detailed
-from .synth import GenSpec, find_benchmark_core, random_hypergraph, randomize_weights
-from .trimmer import trimmer_mincut
 
 ALGORITHMS = ("heicut", "heicut-lp", "trimmer", "bip", "exact", "oracle")
 
@@ -135,11 +131,13 @@ def cmd_solve(args) -> int:
             )
             result, state = run_pipeline_detailed(h, pipeline)
             value, block = result.value, result.partition
-            round_stats = [asdict(s) for s in state.round_stats]
+            round_stats = [dict(vars(s)) for s in state.round_stats]
             stop_reason = state.stop_reason
-            residual = asdict(state.residual) if state.residual is not None else None
+            residual = dict(vars(state.residual)) if state.residual is not None else None
             peak = state.peak_bytes
         elif algo == "trimmer":
+            from .trimmer import trimmer_mincut
+
             fmt = _parse_fmt_code(args.instance)
             if fmt in ("1", "11"):
                 return fail("unweighted only: input file carries edge weights")
@@ -156,6 +154,8 @@ def cmd_solve(args) -> int:
             if sol.status == "feasible-timeout":
                 raise SolveTimeout(CutResult(value, block))
         elif algo == "exact":
+            from .osolve import mincut_ordering
+
             res = mincut_ordering(h, Deadline(args.time_limit))
             value, block = res.value, res.partition
             peak = 2 * storage_nbytes(h)
@@ -281,6 +281,8 @@ def cmd_profile(args) -> int:
         print("no records", file=sys.stderr)
         return 2
 
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["metric", "algorithm", "tau", "fraction"])
@@ -313,6 +315,9 @@ def _sidecar(path, payload: dict) -> None:
 
 
 def cmd_gen(args) -> int:
+    from .osolve import mincut_ordering
+    from .synth import GenSpec, find_benchmark_core, random_hypergraph, randomize_weights
+
     modes = [bool(args.random), args.weights is not None, args.kcore is not None]
     if sum(modes) != 1:
         print("choose exactly one of --random, --weights, --kcore", file=sys.stderr)

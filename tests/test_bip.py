@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hgcut import (
     GenSpec,
@@ -39,6 +41,18 @@ def _linear_triples(rng, n):
         pairs = [(e[x], e[y]) for e in edges for x, y in ((0, 1), (0, 2), (1, 2))]
         if all(len(set(e)) == 3 for e in edges) and len(set(pairs)) == len(pairs):
             return edges
+
+
+@st.composite
+def raw_hypergraphs(draw):
+    """Uncompacted inputs: one-pin, parallel and zero-weight edges, weights
+    up to 1e6, possibly disconnected."""
+    n = draw(st.integers(2, 12))
+    pins = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(6, n), unique=True)
+    edges = draw(st.lists(pins, max_size=2 * n))
+    weight = st.one_of(st.just(0), st.integers(0, 10**6))
+    weights = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    return Hypergraph(n, edges, weights)
 
 
 class TestBuildModel:
@@ -250,8 +264,24 @@ class TestSolveRelaxed:
         root = solve_relaxed(model, SolveLimits(node_limit=1))
         sol = solve_relaxed(model)
         assert sol.value == brute_mincut(h).value
-        assert sol.nodes > 10
+        assert (sol.nodes, sol.pivots) == (21, 156)  # branching on vertex variables only
         assert (sol.pivots - root.pivots) / (sol.nodes - 1) < 10
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(raw_hypergraphs())
+    def test_differential_against_brute_force(self, h):
+        truth = brute_mincut(h).value
+        for mode in ("pairwise", "representative"):
+            sol = solve_relaxed(build_model(h, mode))
+            assert sol.status == "optimal"
+            assert sol.value == truth == cut_value(h, sol.block)
+            assert 0 < len(sol.block) < h.vertex_count
 
     def test_children_rebuilt_from_basis_agree(self, monkeypatch):
         models = [build_model(random_instance(seed)) for seed in range(20)]

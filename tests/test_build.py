@@ -579,9 +579,10 @@ def test_cli_import_leaves_numpy_unloaded():
     code = (
         "import sys; before = 'numpy' in sys.modules; import hgcut.cli, hgcut; "
         "print(before, 'numpy' in sys.modules); "
+        "print(*(f'hgcut.{m}' in sys.modules for m in ('synth', 'trimmer', 'lpcluster'))); "
         "from hgcut import build_model, brute_mincut; print('numpy' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["False", "False", "True"]
+    assert out.stdout.split() == ["False", "False", "False", "False", "False", "True"]
