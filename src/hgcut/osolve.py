@@ -175,11 +175,13 @@ def _run_phases(h: Hypergraph, deadline: Optional[Deadline] = None):
         run = [order[0]]
         for v in order[1:]:
             if key[v] < best:
-                _merge_run(inc, run)
+                if len(run) > 1:
+                    _merge_run(inc, run)
                 run = [v]
             else:
                 run.append(v)
-        _merge_run(inc, run)
+        if len(run) > 1:
+            _merge_run(inc, run)
     return best, best_block, candidates
 
 

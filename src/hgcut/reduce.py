@@ -260,64 +260,84 @@ def rule_heavy_overlap(state: PipelineState) -> bool:
 def rule_nested_substructure(state: PipelineState) -> bool:
     """Contract substructures nested strictly inside one hyperedge.
 
-    For a parent edge e, pins touching an edge incomparable with e (one
-    that reaches outside e without containing it) are tainted: they may
+    For a parent edge e, a pin is tainted when another of its edges is
+    incomparable with e (reaches outside e without containing it): it may
     have an escaping path.  The remaining pins, linked by edges that are
     strict subsets of e, can only reach the rest of the hypergraph through
     e itself, so each untainted component of two or more pins (short of
     all of e) merges without changing any cut.  Superset edges are ignored:
     they cannot carry a path that leaves e without containing it.
+
+    The search runs from the subset side.  Each edge of two or more pins
+    walks the incidence list of its lowest-degree pin and files itself
+    under every strictly larger edge there that contains it; a one-pin
+    edge links nothing and an edge of the largest size has no parent.
+    Only parents that received a subset close their components, in
+    ascending order, and a component is tested for taint through its own
+    pins' edges only, stopping at the first escaping one.  The scan visits
+    the sum over edges of their lowest pin degree, not the sum over
+    parents of all their pins' degrees, which a hub vertex on many parents
+    makes quadratic.  Nothing changes before ``_contract``, so a deadline
+    that expires inside the rule leaves ``state`` as it was.
     """
     h = state.current
-    m = h.edge_count
-    pin_sets = [None] * m
+    edge_pins = [pins for pins, _ in h.edges()]
+    size = list(map(len, edge_pins))
+    top = max(size, default=0)
+    if top < 3:
+        return False  # a parent needs a strict subset of two or more pins
+    incidence = list(map(h.incident, range(h.vertex_count)))
+    degree = list(map(len, incidence))
+    pin_sets = [None] * len(edge_pins)
 
     def pset(eid: int) -> set:
         s = pin_sets[eid]
         if s is None:
-            s = set(h.pins(eid))
-            pin_sets[eid] = s
+            s = pin_sets[eid] = set(edge_pins[eid])
         return s
+
+    subs_of: dict = {}
+    for eid, pins in enumerate(edge_pins):
+        if not eid & 4095:
+            _check_deadline(state)
+        k = size[eid]
+        if k < 2 or k >= top:
+            continue
+        if k == 2:  # most edges; cheaper than min() with a key
+            u, v = pins
+            low = u if degree[u] <= degree[v] else v
+        else:
+            low = min(pins, key=degree.__getitem__)
+        for parent in incidence[low]:
+            if size[parent] > k and pset(parent).issuperset(pins):
+                subs_of.setdefault(parent, []).append(eid)
+
+    def escapes(v: int, parent: int, parent_set: set) -> bool:
+        for eid in incidence[v]:
+            if eid != parent:
+                es = pset(eid)
+                if not (es < parent_set or parent_set <= es):
+                    return True
+        return False
 
     links = []
     used = bytearray(h.vertex_count)
-    for parent in range(m):
-        pins = h.pins(parent)
-        if len(pins) < 3:
-            continue
+    for parent in sorted(subs_of):
+        _check_deadline(state)
+        pins = edge_pins[parent]
         parent_set = pset(parent)
-        candidates: set = set()
-        for v in pins:
-            candidates.update(h.incident(v))
-        candidates.discard(parent)
-
-        subs = []
-        tainted: set = set()
-        for eid in candidates:
-            es = pset(eid)
-            if len(es) < len(parent_set) and es <= parent_set:
-                subs.append(eid)
-            elif parent_set <= es:
-                continue  # contains e: cannot leave e without carrying it
-            else:
-                tainted.update(es & parent_set)
-        if not subs:
-            continue
-
         # components of the subset edges, over positions inside e
         pos = {v: i for i, v in enumerate(pins)}
-        roots = _roots(len(pins), [[pos[v] for v in h.pins(eid)] for eid in subs])
+        roots = _roots(len(pins), [[pos[v] for v in edge_pins[eid]] for eid in subs_of[parent]])
         comps: dict = {}
         for i, r in enumerate(roots):
             if r != i:
                 comps.setdefault(r, [pins[r]]).append(pins[i])
         for r in sorted(comps):
             comp = comps[r]
-            if len(comp) >= len(pins):
+            if len(comp) >= len(pins) or any(used[v] for v in comp):
                 continue
-            if any(v in tainted for v in comp):
-                continue
-            if any(used[v] for v in comp):
+            if any(escapes(v, parent, parent_set) for v in comp):
                 continue
             for v in comp:
                 used[v] = 1
