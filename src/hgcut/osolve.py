@@ -175,13 +175,11 @@ def _run_phases(h: Hypergraph, deadline: Optional[Deadline] = None):
         run = [order[0]]
         for v in order[1:]:
             if key[v] < best:
-                if len(run) > 1:
-                    _merge_run(inc, run)
+                _merge_run(inc, run)
                 run = [v]
             else:
                 run.append(v)
-        if len(run) > 1:
-            _merge_run(inc, run)
+        _merge_run(inc, run)
     return best, best_block, candidates
 
 

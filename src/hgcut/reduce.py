@@ -277,15 +277,16 @@ def rule_nested_substructure(state: PipelineState) -> bool:
     pins' edges only, stopping at the first escaping one.  The scan visits
     the sum over edges of their lowest pin degree, not the sum over
     parents of all their pins' degrees, which a hub vertex on many parents
-    makes quadratic.  Nothing changes before ``_contract``, so a deadline
-    that expires inside the rule leaves ``state`` as it was.
+    makes quadratic; an edge whose pins are all hubs still walks a whole
+    hub list, so hub inputs remain superlinear.  The deadline is checked
+    after every 4,096 scanned incidence entries and once per parent, and
+    nothing changes before ``_contract``, so a deadline that expires
+    inside the rule leaves ``state`` as it was.
     """
     h = state.current
     edge_pins = [pins for pins, _ in h.edges()]
     size = list(map(len, edge_pins))
     top = max(size, default=0)
-    if top < 3:
-        return False  # a parent needs a strict subset of two or more pins
     incidence = list(map(h.incident, range(h.vertex_count)))
     degree = list(map(len, incidence))
     pin_sets = [None] * len(edge_pins)
@@ -297,17 +298,16 @@ def rule_nested_substructure(state: PipelineState) -> bool:
         return s
 
     subs_of: dict = {}
+    scanned = 0
     for eid, pins in enumerate(edge_pins):
-        if not eid & 4095:
-            _check_deadline(state)
         k = size[eid]
         if k < 2 or k >= top:
             continue
-        if k == 2:  # most edges; cheaper than min() with a key
-            u, v = pins
-            low = u if degree[u] <= degree[v] else v
-        else:
-            low = min(pins, key=degree.__getitem__)
+        low = min(pins, key=degree.__getitem__)
+        scanned += degree[low]
+        if scanned >= 4096:
+            _check_deadline(state)
+            scanned = 0
         for parent in incidence[low]:
             if size[parent] > k and pset(parent).issuperset(pins):
                 subs_of.setdefault(parent, []).append(eid)
