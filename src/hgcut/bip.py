@@ -137,6 +137,9 @@ def export_lp(model: BipModel, path) -> None:
 # others carry only the parent's basis and rebuild the tableau when popped.
 _HELD_TABLEAUX = 32
 
+# A vertex variable this close to 0 or 1 counts as integral.
+_INTEGRALITY_TOL = 1e-7
+
 
 def _dense_rows(model: BipModel) -> Tuple[np.ndarray, np.ndarray]:
     """Rows as A x <= b, then ``x_v <= 1`` and ``-x_v <= 0`` for the n
@@ -266,7 +269,6 @@ class _Tableau:
 @dataclass
 class SolveLimits:
     time_limit: Optional[float] = None
-    tol: float = 1e-7
     node_limit: Optional[int] = None
 
 
@@ -361,7 +363,7 @@ def solve_relaxed(model: BipModel, limits: Optional[SolveLimits] = None) -> Rela
                 best_block = frozenset(block)
             distance = np.abs(x - np.round(x))
             j = int(np.argmax(distance))
-            if distance[j] <= limits.tol:
+            if distance[j] <= _INTEGRALITY_TOL:
                 continue  # integral vertex bits: the LP value is their cut
             keep = held + 2 <= _HELD_TABLEAUX
             held += 2 * keep

@@ -35,17 +35,6 @@ TIMEOUT = "timeout-with-incumbent"
 FAILED = "failed"
 
 
-def _parse_fmt_code(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            s = raw.strip()
-            if not s or s.startswith("%"):
-                continue
-            head = s.split()
-            return head[2] if len(head) == 3 else "0"
-    return "0"
-
-
 def _emit(record: dict) -> None:
     print(json.dumps(record, separators=(",", ":"), sort_keys=False))
 
@@ -138,9 +127,6 @@ def cmd_solve(args) -> int:
         elif algo == "trimmer":
             from .trimmer import trimmer_mincut
 
-            fmt = _parse_fmt_code(args.instance)
-            if fmt in ("1", "11"):
-                return fail("unweighted only: input file carries edge weights")
             res = trimmer_mincut(h, seed=args.seed, deadline=Deadline(args.time_limit))
             value, block = res.value, res.partition
             peak = 2 * storage_nbytes(h)

@@ -25,10 +25,13 @@ closes the links (the one union-find over current vertex ids; the log's
 ``contract_groups`` call, and ``connected_components`` is the same closure
 over the edge list.
 
-The hMetis parser validates every token once: each hyperedge line is split
-once, converted with one ``map(int, ...)`` and range-checked through its
-smallest and largest pin, and the hypergraph is built through the trusted
-constructor path, so the public constructor does not check the pins again.
+One hMetis parser reads the text once and validates every token once:
+each hyperedge line is split once, converted with one ``map(int, ...)``
+and range-checked through its smallest and largest pin, and the
+hypergraph is built through the trusted constructor path, so the public
+constructor does not check the pins again.  Faults are worded where they
+are found; line numbers are looked up only after a fault, so the happy
+path never counts lines.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence, Union
 
 Weight = Union[int, float]
 
@@ -149,11 +152,6 @@ class Hypergraph:
     def pin_count(self) -> int:
         return self._p
 
-    # Short aliases, handy in algorithmic code.
-    n = vertex_count
-    m = edge_count
-    p = pin_count
-
     def pins(self, eid: int) -> tuple:
         return self._pins[eid]
 
@@ -216,9 +214,6 @@ class Hypergraph:
             raise ValueError("empty hypergraph has no vertex degrees")
         return max(map(len, self._incidence_lists()))
 
-    def total_edge_weight(self) -> Weight:
-        return sum(self._weights) if self._weights else 0
-
     def is_unweighted(self) -> bool:
         return all(w == 1 for w in self._weights)
 
@@ -268,10 +263,6 @@ class ContractionLog:
         self._members = {v: [v] for v in range(n)}
         # current reduced id -> a representative input id of its class
         self._current = list(range(n))
-
-    @property
-    def input_vertex_count(self) -> int:
-        return len(self.parent)
 
     @property
     def current_vertex_count(self) -> int:
@@ -563,14 +554,14 @@ class CutResult:
 # one vertex weight each.  Lines starting with `%` are comments.
 
 
-def _parse_int(tok: str, lineno: int, what: str) -> int:
+def _parse_int(tok: str, what: str) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise ValueError(f"line {lineno}: {what} is not an integer: {tok!r}") from None
+        raise ValueError(f"{what} is not an integer: {tok!r}") from None
 
 
-def _parse_weight(tok: str, lineno: int) -> Weight:
+def _parse_weight(tok: str) -> Weight:
     try:
         return int(tok)
     except ValueError:
@@ -578,146 +569,104 @@ def _parse_weight(tok: str, lineno: int) -> Weight:
     try:
         w = float(tok)
     except ValueError:
-        raise ValueError(f"line {lineno}: weight is not a number: {tok!r}") from None
+        raise ValueError(f"weight is not a number: {tok!r}") from None
     if w != w:
-        raise ValueError(f"line {lineno}: weight is not a number: {tok!r}")
+        raise ValueError(f"weight is not a number: {tok!r}")
     return w
+
+
+def _pin_fault(toks: list, n: int) -> NoReturn:
+    """Raise the fault of the first bad pin of a hyperedge line, in line order."""
+    for tok in toks:
+        v = _parse_int(tok, "pin id")
+        if v < 1 or v > n:
+            raise ValueError(f"pin out of range: {v} (vertex count {n})")
+    raise AssertionError("no bad pin")
+
+
+def _line_number(lines: list, index: int) -> int:
+    """Line number of data line ``index``; the header is data line 0."""
+    data = (i for i, toks in enumerate(map(str.split, lines), 1) if toks and toks[0][0] != "%")
+    return next(islice(data, index, None))
 
 
 def parse_hmetis(text: str) -> Hypergraph:
     """Parse hMetis-format text into a Hypergraph (pins become 0-based).
 
-    Each line is split once, as it is read, and each hyperedge line
-    converted with one ``map(int, ...)`` and range-checked through its
-    smallest and largest pin; the hypergraph is then built through the
-    trusted constructor path.  Text with any fault is read again by
-    ``_parse_checked``, which raises with the line and reason of the first
-    fault.
+    The text is read once.  Each line is split once, as it is read, and
+    each hyperedge line converted with one ``map(int, ...)`` and
+    range-checked through its smallest and largest pin; the hypergraph is
+    then built through the trusted constructor path.  A fault raises
+    ``ValueError`` naming the first fault: a wrong number of data lines,
+    or else the line number and reason of the first faulty line.  Only
+    then are the remaining data lines counted and the faulty line located.
     """
-    h = _parse_fast(text)
-    return h if h is not None else _parse_checked(text)
-
-
-def _parse_fast(text: str) -> Optional[Hypergraph]:
-    """The hypergraph of well-formed text; None at the first fault."""
-    rows = (toks for toks in map(str.split, text.splitlines()) if toks and toks[0][0] != "%")
+    lines = text.splitlines()
+    rows = (toks for toks in map(str.split, lines) if toks and toks[0][0] != "%")
     head = next(rows, None)
-    if head is None or len(head) not in (2, 3):
-        return None
-    fmt = head[2] if len(head) == 3 else "0"
-    if fmt not in ("0", "1", "10", "11"):
-        return None
+    if head is None:
+        raise ValueError("empty hypergraph file")
+    try:
+        if len(head) not in (2, 3):
+            raise ValueError("header must be 'm n [fmt]'")
+        m = _parse_int(head[0], "hyperedge count")
+        n = _parse_int(head[1], "vertex count")
+        if m < 0 or n < 0:
+            raise ValueError("counts must be nonnegative")
+        fmt = head[2] if len(head) == 3 else "0"
+        if fmt not in ("0", "1", "10", "11"):
+            raise ValueError(f"unsupported fmt code {fmt!r}")
+    except ValueError as exc:
+        raise ValueError(f"line {_line_number(lines, 0)}: {exc}") from None
     has_ew = fmt in ("1", "11")
     has_vw = fmt in ("10", "11")
     pins_lists = []
     eweights: list = []
-    vweights: Optional[list] = None
-    # Any fault gives up; ``_parse_checked`` then words the message.
+    vweights: list = []
+    fault = None
     try:
-        m = int(head[0])
-        n = int(head[1])
-        if m < 0 or n < 0:
-            return None
         for toks in islice(rows, m):
             if has_ew:
                 if len(toks) < 2:
-                    return None
-                w = _parse_weight(toks[0], 0)
+                    raise ValueError("weighted hyperedge needs a weight and pins")
+                w = _parse_weight(toks[0])
                 if w < 0:
-                    return None
+                    raise ValueError("negative hyperedge weight")
                 eweights.append(w)
-                pins = sorted(set(map(int, toks[1:])))
-            else:
+                toks = toks[1:]
+            try:
                 pins = sorted(set(map(int, toks)))
-            if pins[0] < 1 or pins[-1] > n:
-                return None
+            except ValueError:
+                pins = None
+            if pins is None or pins[0] < 1 or pins[-1] > n:
+                _pin_fault(toks, n)
             pins_lists.append(tuple([v - 1 for v in pins]))
         if has_vw:
-            vweights = []
             for toks in islice(rows, n):
                 if len(toks) != 1:
-                    return None
-                c = _parse_weight(toks[0], 0)
+                    raise ValueError("vertex weight lines hold one number")
+                c = _parse_weight(toks[0])
                 if c < 0:
-                    return None
+                    raise ValueError("negative vertex weight")
                 vweights.append(c)
-            if len(vweights) != n:
-                return None
-    except ValueError:
-        return None
-    if len(pins_lists) != m or next(rows, None) is not None:
-        return None
-    return Hypergraph(
-        n, pins_lists, eweights if has_ew else [1] * m, vweights, _normalized=True
-    )
-
-
-def _parse_checked(text: str) -> Hypergraph:
-    """``parse_hmetis`` token by token, naming the line of the first fault."""
-    entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if not s or s.startswith("%"):
-            continue
-        entries.append((lineno, s.split()))
-    if not entries:
-        raise ValueError("empty hypergraph file")
-
-    lineno, head = entries[0]
-    if len(head) not in (2, 3):
-        raise ValueError(f"line {lineno}: header must be 'm n [fmt]'")
-    m = _parse_int(head[0], lineno, "hyperedge count")
-    n = _parse_int(head[1], lineno, "vertex count")
-    if m < 0 or n < 0:
-        raise ValueError(f"line {lineno}: counts must be nonnegative")
-    fmt = head[2] if len(head) == 3 else "0"
-    if fmt not in ("0", "1", "10", "11"):
-        raise ValueError(f"line {lineno}: unsupported fmt code {fmt!r}")
-    has_ew = fmt in ("1", "11")
-    has_vw = fmt in ("10", "11")
-
+    except ValueError as exc:
+        fault = str(exc)
+    # A wrong data-line count is reported before a fault inside a line.
+    done = 1 + len(pins_lists) + len(vweights)  # data lines read without a fault
+    found = done + (fault is not None) + sum(1 for _ in rows)
     need = 1 + m + (n if has_vw else 0)
-    if len(entries) != need:
+    if found != need:
         raise ValueError(
             f"expected {need} data lines ({m} hyperedges"
             + (f" plus {n} vertex weights" if has_vw else "")
-            + f"), found {len(entries)}"
+            + f"), found {found}"
         )
-
-    pins_lists = []
-    eweights: list = []
-    for lineno, toks in entries[1 : 1 + m]:
-        if has_ew:
-            if len(toks) < 2:
-                raise ValueError(f"line {lineno}: weighted hyperedge needs a weight and pins")
-            w = _parse_weight(toks[0], lineno)
-            if w < 0:
-                raise ValueError(f"line {lineno}: negative hyperedge weight")
-            pin_toks = toks[1:]
-        else:
-            w = 1
-            pin_toks = toks
-        pins = []
-        for t in pin_toks:
-            v = _parse_int(t, lineno, "pin id")
-            if v < 1 or v > n:
-                raise ValueError(f"line {lineno}: pin out of range: {v} (vertex count {n})")
-            pins.append(v - 1)
-        eweights.append(w)
-        pins_lists.append(pins)
-
-    vweights: Optional[list] = None
-    if has_vw:
-        vweights = []
-        for lineno, toks in entries[1 + m :]:
-            if len(toks) != 1:
-                raise ValueError(f"line {lineno}: vertex weight lines hold one number")
-            c = _parse_weight(toks[0], lineno)
-            if c < 0:
-                raise ValueError(f"line {lineno}: negative vertex weight")
-            vweights.append(c)
-
-    return Hypergraph(n, pins_lists, eweights, vweights)
+    if fault is not None:
+        raise ValueError(f"line {_line_number(lines, done)}: {fault}")
+    return Hypergraph(
+        n, pins_lists, eweights if has_ew else [1] * m, vweights if has_vw else None,
+        _normalized=True,
+    )
 
 
 def _fmt_weight(w: Weight) -> str:

@@ -73,9 +73,7 @@ class PipelineConfig:
     seed: int = 0
     solver: str = "exact"  # residual backend: "exact" or "bip"
     want_partition: bool = False
-    lp_iterations: int = 1
     time_limit: Optional[float] = None
-    bip_node_limit: Optional[int] = None
 
 
 @dataclass
@@ -463,18 +461,10 @@ RULE_ORDER: Tuple[Tuple[str, Callable[[PipelineState], bool]], ...] = (
 
 
 def _lp_contract(state: PipelineState) -> bool:
-    from .lpcluster import Clustering, contract_clusters, propagate_once
+    from .lpcluster import contract_clusters, propagate_once
 
-    config = state.config
-    iters = max(1, config.lp_iterations)
-    labels = None
-    seed0 = (config.seed * 1_000_003 + state.round_index * 101) & 0x7FFFFFFF
-    for i in range(iters):
-        clustering = propagate_once(state.current, seed=seed0 + i, labels=labels)
-        labels = clustering.labels
-    h = contract_clusters(
-        state.current, Clustering(labels=labels, iterations=iters, seed=seed0), state.log
-    )
+    seed = (state.config.seed * 1_000_003 + state.round_index * 101) & 0x7FFFFFFF
+    h = contract_clusters(state.current, propagate_once(state.current, seed=seed), state.log)
     if h is state.current:
         return False
     state.replace(h)
@@ -572,10 +562,7 @@ def _solve_residual(state: PipelineState) -> CutResult:
         model = build_model(h)
         state.peak_bytes = max(state.peak_bytes, storage_nbytes(h) + tableau_bytes(model))
         remaining = state.deadline.remaining() if state.deadline is not None else None
-        sol = solve_relaxed(
-            model,
-            SolveLimits(time_limit=remaining, node_limit=config.bip_node_limit),
-        )
+        sol = solve_relaxed(model, SolveLimits(time_limit=remaining))
         stats.status, stats.nodes, stats.pivots = sol.status, sol.nodes, sol.pivots
         solver_value = sol.value
         solver_block = (

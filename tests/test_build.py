@@ -210,6 +210,11 @@ class TestParser:
             ("1 2 11\n3 1 2\n5\nabc\n", "line 4: weight is not a number: 'abc'"),
             ("1 2 11\n3 1 2\n5\nnan\n", "line 4: weight is not a number: 'nan'"),
             ("1 2 11\n3 1 2\n5\n-1\n", "line 4: negative vertex weight"),
+            # a wrong data-line count is reported before a fault inside a line
+            ("2 3\n1 x\n", "expected 3 data lines (2 hyperedges), found 2"),
+            ("1 3\n1 9\n1 2\n", "expected 2 data lines (1 hyperedges), found 3"),
+            ("1 2 10\n1 2\n5\n-1\n7\n",
+             "expected 4 data lines (1 hyperedges plus 2 vertex weights), found 5"),
         ],
     )
     def test_error_message_and_line(self, text, message):

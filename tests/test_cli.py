@@ -68,6 +68,13 @@ class TestSolve:
         assert "unweighted" in record["reason"]
         assert record["value"] is None
 
+    def test_trimmer_accepts_unit_weights_written_as_weighted(self, capsys, tmp_path):
+        path = tmp_path / "triu.hgr"
+        path.write_text("3 3 1\n1 1 2\n1 2 3\n1 1 3\n")
+        code, record = run_record(capsys, ["solve", str(path), "--algo", "trimmer"])
+        assert code == 0
+        assert (record["status"], record["value"]) == ("ok", 2)
+
     def test_bip_time_limit_returns_incumbent(self, capsys, tmp_path):
         code = main(["gen", "--random", "-n", "30", "-m", "45", "--seed", "4",
                      "--connected", "--out", str(tmp_path / "big.hgr")])
