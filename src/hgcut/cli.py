@@ -210,7 +210,7 @@ def profile_fractions(records, metric: str):
     def quality(rec):
         if rec["status"] not in (OK, TIMEOUT):
             return None
-        return rec[metric] if metric != "value" else rec["value"]
+        return rec[metric]
 
     best: dict = {}
     for inst in instances:

@@ -14,16 +14,17 @@ Contraction is done by relabelling through a grouping and rebuilding the
 structure in one pass: merged vertices sum their weights, pins are
 deduplicated per edge, edges that fall below two pins (or have zero weight)
 are dropped, and edges with identical pin sets are merged by summing their
-weights.  A :class:`ContractionLog` records the merge history so any
-bipartition of a reduced hypergraph can be expanded back to the input
-vertex set with an identical cut value.
+weights.  The relabelling is the whole merge history.  A
+:class:`ContractionLog` follows it to hold the input vertices behind each
+current vertex, so any bipartition of a reduced hypergraph expands back to
+the input vertex set with an identical cut value; the pipeline keeps one
+only when a partition is asked for.
 
 A reduction rule asks for a contraction by listing *links*: vertex tuples
-whose members must end in one vertex, which may overlap.  ``_roots``
-closes the links (the one union-find over current vertex ids; the log's
-``find`` works on input ids), the closed classes become the groups of one
-``contract_groups`` call, and ``connected_components`` is the same closure
-over the edge list.
+whose members must end in one vertex, which may overlap.  ``_roots``, the
+one union-find, closes the links; the closed classes become the groups of
+one ``contract_groups`` call, and ``connected_components`` is the same
+closure over the edge list.
 
 One hMetis parser reads the text once and validates every token once:
 each hyperedge line is split once, converted with one ``map(int, ...)``
@@ -249,71 +250,43 @@ def storage_nbytes(h: Hypergraph) -> int:
 
 
 class ContractionLog:
-    """Union-find merge history over the *input* vertex ids.
+    """The input vertices behind each vertex of the current hypergraph.
 
-    The log tracks, for every vertex of the current reduced hypergraph,
-    which input vertices were merged into it, so cuts found on the reduced
-    structure can be expanded back to the input vertex set.
+    One list of input vertex ids per current vertex.  A contraction hands
+    its relabelling to :meth:`apply`, which moves every list to its new
+    id; where lists meet, the longer absorbs the shorter, so a run copies
+    each input vertex O(log N) times.  Cuts found on the reduced structure
+    expand back to the input vertex set through :meth:`expand_block`.
     """
 
     def __init__(self, vertex_count: int) -> None:
-        n = int(vertex_count)
-        self.parent = list(range(n))
-        self.merge_order: list = []
-        self._members = {v: [v] for v in range(n)}
-        # current reduced id -> a representative input id of its class
-        self._current = list(range(n))
+        self._members = [[v] for v in range(int(vertex_count))]
 
-    @property
-    def current_vertex_count(self) -> int:
-        return len(self._current)
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def apply_groups(self, groups: Sequence[Sequence[int]], relabel: Sequence[int], new_count: int) -> None:
-        """Record merges of groups of *current* ids and the relabelling map.
-
-        Union by size: the larger class keeps its root and absorbs the
-        other's members."""
-        find, parent, members = self.find, self.parent, self._members
-        current = self._current
-        for g in groups:
-            it = iter(g)
-            ra = find(current[next(it)])
-            for v in it:
-                rb = find(current[v])
-                if ra == rb:
-                    continue
-                if len(members[ra]) < len(members[rb]):
-                    ra, rb = rb, ra
-                self.merge_order.append((ra, rb))
-                parent[rb] = ra
-                members[ra].extend(members.pop(rb))
-        new_current = [0] * new_count
-        for old, root in enumerate(current):
-            new_current[relabel[old]] = root
-        self._current = new_current
+    def apply(self, relabel: Sequence[int], new_count: int) -> None:
+        """Move current vertex ``v``'s members to ``relabel[v]``."""
+        new: list = [None] * new_count
+        for members, c in zip(self._members, relabel):
+            into = new[c]
+            if into is None:
+                new[c] = members
+            elif len(into) >= len(members):
+                into.extend(members)
+            else:
+                members.extend(into)
+                new[c] = members
+        self._members = new
 
     def members_of_current(self, current_id: int) -> tuple:
         """Input vertex ids merged into the given current vertex."""
-        return tuple(self._members[self.find(self._current[current_id])])
+        return tuple(self._members[current_id])
 
     def expand_block(self, current_ids: Iterable[int]) -> frozenset:
         """Map a block of current vertex ids to the input vertex set."""
+        members = self._members
         out: list = []
         for c in current_ids:
-            out.extend(self._members[self.find(self._current[c])])
+            out.extend(members[c])
         return frozenset(out)
-
-    def root_count(self) -> int:
-        return len(self._members)
 
 
 def contract_groups(
@@ -348,7 +321,7 @@ def contract_groups(
         for c in h._vweights:
             total += c
         if log is not None:
-            log.apply_groups(norm, [0] * n, 1)
+            log.apply([0] * n, 1)
         return Hypergraph(1, [], [], [total], _normalized=True)
 
     rep = list(range(n))
@@ -396,7 +369,7 @@ def contract_groups(
             merged[key] = w
 
     if log is not None:
-        log.apply_groups(norm, relabel, new_n)
+        log.apply(relabel, new_n)
 
     return Hypergraph(
         new_n,

@@ -13,19 +13,11 @@ it can only raise the minimum cut, never lower it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .hgraph import ContractionLog, Hypergraph, contract_groups
 
-__all__ = ["Clustering", "score", "propagate_once", "contract_clusters"]
-
-
-@dataclass(frozen=True)
-class Clustering:
-    labels: tuple
-    iterations: int
-    seed: int
+__all__ = ["score", "propagate_once", "contract_clusters"]
 
 
 def score(v: int, label: int, h: Hypergraph, labels: Sequence[int]) -> float:
@@ -53,8 +45,9 @@ def propagate_once(
     h: Hypergraph,
     seed: int = 0,
     labels: Optional[Sequence[int]] = None,
-) -> Clustering:
-    """One label-propagation pass in a seeded random vertex order."""
+) -> tuple:
+    """One label-propagation pass in a seeded random vertex order; returns
+    the label of every vertex."""
     n = h.vertex_count
     lab = list(labels) if labels is not None else list(range(n))
     if len(lab) != n:
@@ -82,24 +75,25 @@ def propagate_once(
         tied = sorted(l for l, s in acc.items() if s == best)
         lab[v] = tied[0] if len(tied) == 1 else rng.choice(tied)
 
-    return Clustering(labels=tuple(lab), iterations=1, seed=seed)
+    return tuple(lab)
 
 
 def contract_clusters(
     h: Hypergraph,
-    clustering: Clustering,
+    labels: Sequence[int],
     log: Optional[ContractionLog] = None,
 ) -> Hypergraph:
-    """Contract every multi-vertex cluster; refuses a total collapse.
+    """Contract every group of vertices sharing a label; refuses a total
+    collapse.
 
     If contracting would leave a single vertex the input is returned
     unchanged, so heuristic mode never erases every remaining cut.
     """
     n = h.vertex_count
-    if len(clustering.labels) != n:
-        raise ValueError("clustering does not match hypergraph")
+    if len(labels) != n:
+        raise ValueError("labels do not match hypergraph")
     groups: dict = {}
-    for v, l in enumerate(clustering.labels):
+    for v, l in enumerate(labels):
         groups.setdefault(l, []).append(v)
     multi = [g for g in groups.values() if len(g) >= 2]
     if not multi:

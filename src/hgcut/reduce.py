@@ -107,8 +107,10 @@ class ResidualStats:
 @dataclass
 class PipelineState:
     current: Hypergraph
-    log: ContractionLog
     config: PipelineConfig
+    # input vertices behind each current vertex; None unless a partition
+    # is wanted
+    log: Optional[ContractionLog] = None
     upper_bound: Weight = INF
     bound_block: Optional[frozenset] = None
     round_stats: List[RuleStats] = field(default_factory=list)
@@ -131,8 +133,8 @@ def initial_state(h: Hypergraph, config: Optional[PipelineConfig] = None) -> Pip
     config = config if config is not None else PipelineConfig()
     state = PipelineState(
         current=h,
-        log=ContractionLog(h.vertex_count),
         config=config,
+        log=ContractionLog(h.vertex_count) if config.want_partition else None,
         deadline=Deadline(config.time_limit),
     )
     state.peak_bytes = storage_nbytes(h)
@@ -153,7 +155,7 @@ def update_upper_bound(state: PipelineState) -> Weight:
         d = min(wd)
         if d < state.upper_bound:
             state.upper_bound = d
-            if state.config.want_partition:
+            if state.log is not None:
                 v = wd.index(d)
                 state.bound_block = frozenset(state.log.members_of_current(v))
     return state.upper_bound
@@ -176,20 +178,14 @@ def _note(state: PipelineState, rule: str, before: Hypergraph) -> None:
 
 
 def _contract(state: PipelineState, links: Iterable[Sequence[int]]) -> bool:
-    """Contract each class of the closure of ``links`` into one vertex.
-
-    Groups go to ``contract_groups`` by ascending root (the class's
-    smallest vertex), members ascending; that order fixes the log's
-    ``merge_order`` and which input vertex represents each class.
-    """
+    """Contract each class of the closure of ``links`` into one vertex."""
     by_root: dict = {}
     for v, r in enumerate(_roots(state.current.vertex_count, links)):
         if r != v:
             by_root.setdefault(r, [r]).append(v)
     if not by_root:
         return False
-    groups = [by_root[r] for r in sorted(by_root)]
-    state.replace(contract_groups(state.current, groups, state.log))
+    state.replace(contract_groups(state.current, by_root.values(), state.log))
     update_upper_bound(state)
     return True
 
@@ -213,10 +209,13 @@ def rule_heavy_edge(state: PipelineState) -> bool:
 
     Cutting such an edge costs no less than a cut already known, so its
     pins can merge.  Contractions merge parallel edges and may create new
-    qualifying edges, so the scan repeats until none are left.
+    qualifying edges, so the scan repeats until none are left.  The
+    deadline is checked before each step, so an expired one leaves the
+    state as the last whole step left it.
     """
     applied = False
     while state.upper_bound > 0 and state.current.vertex_count > 1:
+        _check_deadline(state)
         bound = state.upper_bound
         if not _contract(state, [pins for pins, w in state.current.edges() if w >= bound]):
             break
@@ -480,7 +479,7 @@ def _result(state: PipelineState, provenance: str, value=None, side=None) -> Cut
     ``side``."""
     block = state.bound_block
     if side is not None:
-        block = state.log.expand_block(side) if state.config.want_partition else None
+        block = state.log.expand_block(side) if state.log is not None else None
     return CutResult(
         value=state.upper_bound if value is None else value,
         partition=block,
@@ -548,7 +547,7 @@ def _solve_residual(state: PipelineState) -> CutResult:
         solver_value = res.value
         solver_block = (
             state.log.expand_block(res.partition)
-            if config.want_partition and res.partition is not None
+            if state.log is not None and res.partition is not None
             else None
         )
         solver_prov = PROVENANCE_ORDERING
@@ -567,7 +566,7 @@ def _solve_residual(state: PipelineState) -> CutResult:
         solver_value = sol.value
         solver_block = (
             state.log.expand_block(sol.block)
-            if config.want_partition and sol.block is not None
+            if state.log is not None and sol.block is not None
             else None
         )
         solver_prov = PROVENANCE_BIP

@@ -33,7 +33,9 @@ from hgcut.reduce import (
     rule_singleton,
     update_upper_bound,
 )
-from conftest import equality_case_instance, loose_imbalanced_vertex, random_instance
+from conftest import (
+    equality_case_instance, loose_imbalanced_vertex, random_instance, two_cycle_union,
+)
 
 
 def make_state(h, **config):
@@ -116,6 +118,16 @@ class TestRuleHeavyEdge:
         state = make_state(h)
         assert not rule_heavy_edge(state)
         assert state.current is h
+
+    def test_expired_deadline_leaves_state_untouched(self):
+        h = Hypergraph(3, [[0, 1], [1, 2], [0, 2]], [3, 1, 1])
+        state = make_state(h)
+        state.deadline = Deadline(0)
+        with pytest.raises(SolveTimeout):
+            rule_heavy_edge(state)
+        assert state.current is h
+        assert state.upper_bound == 2
+        assert state.round_stats == []
 
 
 class TestRuleHeavyOverlap:
@@ -231,13 +243,13 @@ def nested_reference(state):
 
 
 def nested_outcome(h, rule):
-    """What a rule did to ``h``: the contracted hypergraph, the merge
-    history and the input vertices behind every current vertex."""
+    """What a rule did to ``h``: the contracted hypergraph and the input
+    vertices behind every current vertex."""
     state = make_state(h, want_partition=True)
     changed = rule(state)
     cur = state.current
     blocks = [state.log.expand_block([v]) for v in range(cur.vertex_count)]
-    return changed, repr(cur), list(cur.edges()), list(state.log.merge_order), blocks
+    return changed, repr(cur), list(cur.edges()), blocks
 
 
 @st.composite
@@ -440,6 +452,14 @@ class TestPipeline:
         res = run_pipeline(h, PipelineConfig(want_partition=True))
         assert res.value == 0
         assert cut_value(h, res.partition) == 0
+
+    def test_no_log_unless_a_partition_is_wanted(self):
+        h = two_cycle_union()
+        for config in (PipelineConfig(), PipelineConfig(use_lp=True)):
+            res, state = run_pipeline_detailed(h, config)
+            assert res.value == brute_mincut(h).value == 4
+            assert res.partition is None
+            assert state.log is None
 
     def test_single_spanning_edge_terminal(self, spanning_edge):
         res = run_pipeline(spanning_edge)
