@@ -71,8 +71,7 @@ def _record(
 
 def _write_partition(path, value, block) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"value": value, "block": sorted(block)}, fh)
-        fh.write("\n")
+        fh.write(json.dumps({"value": value, "block": sorted(block)}) + "\n")
 
 
 def _write_round_stats(path, round_stats) -> None:

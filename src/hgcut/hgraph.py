@@ -192,11 +192,13 @@ class Hypergraph:
         return self.weighted_degrees()[v]
 
     def weighted_degrees(self) -> list:
+        """The weight of the cut isolating each vertex: one-pin edges do not count."""
         if self._wdeg is None:
             wd = [0] * self._n
             for e, w in zip(self._pins, self._weights):
-                for v in e:
-                    wd[v] += w
+                if len(e) > 1:
+                    for v in e:
+                        wd[v] += w
             self._wdeg = wd
         return self._wdeg
 

@@ -23,10 +23,10 @@ vertex is left.
 
 All phases run on one mutable incidence structure built once per solve;
 merging two vertices costs the degree of the merged-away vertex, not a
-rebuild.  Each run of merged pairs keeps its smallest id, so live
-vertices keep their relative order and ties break toward the smallest
-vertex id.  The priority queue is a lazy binary heap, so no weight range
-makes a phase slower.
+rebuild.  A certified pair merges as the walk reaches it, into the
+smallest id of its run, so live vertices keep their relative order and
+ties break toward the smallest vertex id.  The priority queue is a lazy
+binary heap, so no weight range makes a phase slower.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ class _Incidence:
         for eid, pins in enumerate(self.pins):
             for v in pins:
                 self.incident[v].add(eid)
-        self.members = [[v] for v in range(n)]
-        self.live = list(range(n))  # ascending
+        self.members = [[v] for v in range(n)]  # empty once merged away
+        self.live = list(range(n))  # ascending; filtered once per phase
         self.key: list = [0] * n
         self.in_order = [0] * n
         self.touched = [0] * h.edge_count
@@ -137,7 +137,7 @@ class _Incidence:
                 edge.add(keep)
                 inc_keep.add(eid)
         self.members[keep].extend(self.members[gone])
-        self.live.remove(gone)
+        self.members[gone] = []
 
 
 def ma_ordering(h: Hypergraph, start: int = 0) -> MaOrdering:
@@ -160,7 +160,7 @@ def _run_phases(h: Hypergraph, deadline: Optional[Deadline] = None):
     inc = _Incidence(h)
     key = inc.key
     best: Optional[Weight] = None
-    best_block: Optional[tuple] = None
+    best_block: Optional[frozenset] = None
     candidates = []
     while len(inc.live) > 1:
         if deadline is not None and deadline.expired():
@@ -171,23 +171,18 @@ def _run_phases(h: Hypergraph, deadline: Optional[Deadline] = None):
         candidates.append(cand)
         if best is None or cand < best:
             best = cand
-            best_block = tuple(inc.members[t])
-        run = [order[0]]
+            best_block = frozenset(inc.members[t])
+        keep = order[0]  # smallest id of the current run
         for v in order[1:]:
             if key[v] < best:
-                _merge_run(inc, run)
-                run = [v]
+                keep = v
+            elif v < keep:
+                inc.merge(v, keep)
+                keep = v
             else:
-                run.append(v)
-        _merge_run(inc, run)
+                inc.merge(keep, v)
+        inc.live = [v for v in inc.live if inc.members[v]]
     return best, best_block, candidates
-
-
-def _merge_run(inc: _Incidence, run: list) -> None:
-    keep = min(run)
-    for v in run:
-        if v != keep:
-            inc.merge(keep, v)
 
 
 def mincut_ordering(h: Hypergraph, deadline: Optional[Deadline] = None) -> OrderingResult:
@@ -201,10 +196,7 @@ def mincut_ordering(h: Hypergraph, deadline: Optional[Deadline] = None) -> Order
         return OrderingResult(value=0, partition=block, provenance=PROVENANCE_ORDERING)
     best, block, candidates = _run_phases(h, deadline)
     return OrderingResult(
-        value=best,
-        partition=frozenset(block) if block is not None else None,
-        provenance=PROVENANCE_ORDERING,
-        phases=len(candidates),
+        value=best, partition=block, provenance=PROVENANCE_ORDERING, phases=len(candidates)
     )
 
 

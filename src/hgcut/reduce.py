@@ -8,7 +8,7 @@ structure that provably cannot sit on a cut cheaper than the bound, so
     min(upper_bound, mincut(reduced)) == mincut(input)
 
 holds after every rule application; the final answer folds the bound back
-in.  Rounds apply the rules in a fixed order, each at most once per round.
+in.  Rounds apply the rules in ``RULE_ORDER``, each at most once per round.
 A rule's outcome depends only on the current hypergraph and the bound, so
 reduction stops at a fixpoint as soon as every rule in a row, counted
 across round boundaries, has left both unchanged; it also stops when the
@@ -21,6 +21,16 @@ members must end in one vertex (a heavy edge's pins, a pair, a nested
 component), which may overlap.  It hands them all to ``_contract``, which
 closes them with ``hgraph._roots`` and makes one ``contract_groups`` call.
 The driver, not the rule, records each call's effect in ``round_stats``.
+
+No pass checks the input's connectivity.  Every link lies inside one
+hyperedge or joins a pair that shares one, and label propagation spreads
+labels only along hyperedges, so no contraction joins two components.  A
+disconnected input stops at ``zero-bound`` once a component collapses to
+a vertex of degree 0, or else at a fixpoint whose residual the solver step
+finds disconnected.  ``heavy-edge`` runs before ``singleton``: weighted
+degrees ignore one-pin edges, so the first bound is a cut value, and
+parallel edges that reach it only together are merged by the next rebuild.
+An input that ``heavy-edge`` alone collapses costs one rebuild.
 """
 
 from __future__ import annotations
@@ -199,8 +209,7 @@ def rule_singleton(state: PipelineState) -> bool:
     h = compact(state.current)
     if h is state.current:
         return False
-    state.replace(h)
-    update_upper_bound(state)
+    state.replace(h)  # weighted degrees are unchanged
     return True
 
 
@@ -230,7 +239,8 @@ def rule_heavy_overlap(state: PipelineState) -> bool:
     it could not improve on the bound.  Only vertices whose weighted degree
     reaches the bound can participate, which caps the scan at the sum of
     squared edge sizes.  Larger overlapping sets collapse over successive
-    rounds through cascaded pair contractions.
+    rounds through cascaded pair contractions.  The deadline is checked
+    after every 4,096 scanned pins, before anything changes.
     """
     bound = state.upper_bound
     if bound <= 0:
@@ -239,13 +249,19 @@ def rule_heavy_overlap(state: PipelineState) -> bool:
     wdeg = h.weighted_degrees()
     links = []
     shared: dict = {}
+    scanned = 0
     for u in range(h.vertex_count):
         if wdeg[u] < bound:
             continue
         shared.clear()
         for eid in h.incident(u):
             w = h.weight(eid)
-            for v in h.pins(eid):
+            pins = h.pins(eid)
+            scanned += len(pins)
+            if scanned >= 4096:
+                _check_deadline(state)
+                scanned = 0
+            for v in pins:
                 if v > u:
                     shared[v] = shared.get(v, 0) + w
         for v, total in shared.items():
@@ -446,8 +462,8 @@ def rule_heavy_neighborhood(state: PipelineState) -> bool:
 
 
 RULE_ORDER: Tuple[Tuple[str, Callable[[PipelineState], bool]], ...] = (
-    ("singleton", rule_singleton),
     ("heavy-edge", rule_heavy_edge),
+    ("singleton", rule_singleton),
     ("heavy-overlap", rule_heavy_overlap),
     ("nested-substructure", rule_nested_substructure),
     ("imbalanced-vertex", rule_imbalanced_vertex),
@@ -523,16 +539,13 @@ def _reduce_rounds(state: PipelineState) -> Optional[CutResult]:
 
 
 def _solve_residual(state: PipelineState) -> CutResult:
-    """Solve what reduction left.  The residual's connectivity is computed
-    once: ``mincut_ordering`` checks it itself, and only the binary program
-    needs the check here."""
+    """Solve what reduction left.  The run's one connectivity check is on
+    the residual: ``mincut_ordering`` makes it itself, and only the binary
+    program needs it here."""
     from .osolve import mincut_ordering
 
     config = state.config
     h = state.current
-
-    if h.vertex_count == 1:
-        return _result(state, PROVENANCE_REDUCTION)
     stats = ResidualStats(
         solver=config.solver, n=h.vertex_count, m=h.edge_count, p=h.pin_count, status="optimal"
     )
@@ -545,11 +558,7 @@ def _solve_residual(state: PipelineState) -> CutResult:
             return _result(state, PROVENANCE_REDUCTION, 0, res.partition)
         stats.phases = res.phases
         solver_value = res.value
-        solver_block = (
-            state.log.expand_block(res.partition)
-            if state.log is not None and res.partition is not None
-            else None
-        )
+        solver_block = state.log.expand_block(res.partition) if state.log is not None else None
         solver_prov = PROVENANCE_ORDERING
     elif config.solver == "bip":
         from .bip import SolveLimits, build_model, solve_relaxed, tableau_bytes
@@ -586,19 +595,14 @@ def run_pipeline_detailed(
     h: Hypergraph,
     config: Optional[PipelineConfig] = None,
 ) -> Tuple[CutResult, PipelineState]:
-    """Reduce, then solve the residue; returns the result plus run state."""
+    """Reduce, then solve the residue; returns the result plus run state.
+    The input's connectivity is never checked (see the module notes)."""
     if h.vertex_count < 2:
         raise ValueError("minimum cut needs at least two vertices")
     state = initial_state(h, config)
     if state.upper_bound == 0:
         state.stop_reason = "zero-bound"
         return _result(state, PROVENANCE_TRIVIAL, 0), state
-
-    labels = connected_components(h)
-    if max(labels) != 0:
-        state.stop_reason = "zero-bound"
-        side = (v for v, c in enumerate(labels) if c == 0)
-        return _result(state, PROVENANCE_REDUCTION, 0, side), state
 
     result = _reduce_rounds(state)
     if result is None:

@@ -522,7 +522,7 @@ class TestClosure:
                 assert state.log.expand_block([c]) == ref_log.expand_block([c])
 
 
-# -- one connectivity pass per residual; numpy only where it is used ---------------
+# -- one connectivity pass, on the residual only; numpy only where it is used ------
 
 
 def disconnected_residual():
@@ -553,7 +553,7 @@ class TestResidualConnectivity:
         )
         assert result.value == 0 and result.partition == frozenset(range(16))
         assert state.residual.status == "disconnected" and state.residual.phases is None
-        assert calls == [32, 32]  # the input once, the residual once
+        assert calls == [32]  # the residual only: the input gets no pass
 
     def test_connected_residual_checked_once(self, monkeypatch):
         import hgcut.osolve
@@ -569,7 +569,38 @@ class TestResidualConnectivity:
         monkeypatch.setattr(hgcut.reduce, "connected_components", counted)
         result, state = run_pipeline_detailed(two_cycle_union())
         assert result.value == 4 and state.residual.phases >= 1
-        assert calls == [16, 16]
+        assert calls == [16]
+
+
+@pytest.mark.parametrize("pins", [20_000, 320_000])
+def test_trivial_path_is_one_rebuild(pins, monkeypatch):
+    """On the near-linear scaling family (criterion 8) heavy-edge runs
+    first and collapses everything in one step: one ``contract_groups``
+    call, no ``compact`` and no connectivity pass."""
+    import hgcut.osolve
+    import hgcut.reduce
+
+    assert hgcut.reduce.RULE_ORDER[0][0] == "heavy-edge"
+    calls = []
+    for module, name in [
+        (hgcut.reduce, "compact"),
+        (hgcut.reduce, "connected_components"),
+        (hgcut.reduce, "contract_groups"),
+        (hgcut.osolve, "connected_components"),
+    ]:
+        def counted(*args, _f=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    h = hgcut.random_hypergraph(
+        hgcut.GenSpec(
+            vertex_count=pins // 5, edge_count=pins // 3, seed=1234, ensure_connected=True
+        )
+    )
+    _, state = run_pipeline_detailed(h)
+    assert state.stop_reason == "terminal"
+    assert calls == ["contract_groups"]
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -153,6 +153,19 @@ class TestRuleHeavyOverlap:
         assert state.upper_bound == 2
         assert not rule_heavy_overlap(state)
 
+    def test_expired_deadline_inside_one_large_edge(self):
+        # a unit edge over all K vertices and a weight-3 cycle: every
+        # vertex reaches the bound of 7, so each scans the whole edge
+        k = 2000
+        edges = [list(range(k))] + [[i, (i + 1) % k] for i in range(k)]
+        h = Hypergraph(k, edges, [1] + [3] * k)
+        state = make_state(h)
+        assert state.upper_bound == 7
+        state.deadline = Deadline(0)
+        with pytest.raises(SolveTimeout):
+            rule_heavy_overlap(state)
+        assert state.current is h
+
 
 class TestRuleNestedSubstructure:
     def test_contracts_enclosed_pair(self):
@@ -681,3 +694,135 @@ class TestComposition:
             assert run_pipeline(h).value == truth
         finally:
             hgcut.reduce.RULE_ORDER = original
+
+
+# -- disconnected inputs: no input pass, no link between components ------------
+
+
+@st.composite
+def component_unions(draw):
+    """Unions of 1-3 connected random components of 2-5 vertices, with
+    interleaved vertex ids and one-pin, zero-weight and parallel edges;
+    other weights are 1, 1..3 or 1..1000.  A component is spanned by a
+    cycle, which the rules may leave standing, or by a random tree."""
+    sizes = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))
+    ids = draw(st.permutations(range(sum(sizes))))
+    weight = st.integers(1, draw(st.sampled_from([1, 3, 1000])))
+    edges, weights = [], []
+    start = 0
+    for k in sizes:
+        comp = ids[start:start + k]
+        start += k
+        own = len(edges)  # this component's edges start here
+        if k >= 3 and draw(st.booleans()):
+            edges += [[comp[i - 1], comp[i]] for i in range(k)]
+        else:
+            for i in range(1, k):
+                earlier = st.sampled_from(comp[:i])
+                edges.append([comp[i]] + draw(st.lists(earlier, min_size=1, max_size=2, unique=True)))
+        weights += [draw(weight) for _ in range(own, len(edges))]
+        for _ in range(draw(st.integers(0, k))):
+            kind = draw(st.sampled_from(["random", "one-pin", "zero", "parallel"]))
+            if kind == "parallel":
+                edges.append(list(edges[draw(st.integers(own, len(edges) - 1))]))
+            elif kind == "one-pin":
+                edges.append([draw(st.sampled_from(comp))])
+            else:
+                edges.append(draw(st.lists(st.sampled_from(comp), min_size=1, max_size=k, unique=True)))
+            weights.append(0 if kind == "zero" else draw(weight))
+    return Hypergraph(len(ids), edges, weights)
+
+
+def two_unit_cycles(parallel=False):
+    """Unit 4-cycles on the even and the odd vertices, with a one-pin and
+    a zero-weight edge, and optionally a parallel copy of a cycle edge."""
+    edges = [[v, (v + 2) % 8] for v in range(8)] + [[0], [1, 3, 5]]
+    weights = [1] * 8 + [5, 0]
+    if parallel:
+        edges.append([2, 4])
+        weights.append(1)
+    return Hypergraph(8, edges, weights)
+
+
+UNION_CONFIGS = (
+    PipelineConfig(want_partition=True),
+    PipelineConfig(use_lp=True, seed=7, want_partition=True),
+    PipelineConfig(solver="bip", want_partition=True),
+)
+
+
+class TestDisconnectedInputs:
+    """No connectivity pass runs over the input: a disconnected one must
+    still end with a zero cut, because no contraction links two of its
+    components."""
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(component_unions())
+    @example(two_unit_cycles())  # fixpoint; the residual is disconnected
+    @example(two_unit_cycles(parallel=True))  # one cycle collapses later
+    def test_matches_oracle_and_certificates_rescore(self, h):
+        truth = brute_mincut(h).value
+        disconnected = max(connected_components(h)) != 0
+        for config in UNION_CONFIGS:
+            res = run_pipeline(h, config)
+            assert cut_value(h, res.partition) == res.value
+            if not config.use_lp:
+                assert res.value == truth
+            elif disconnected:
+                assert res.value == 0
+            else:  # label propagation is a heuristic, never below the optimum
+                assert res.value >= truth
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(component_unions())
+    @example(two_unit_cycles())
+    @example(two_unit_cycles(parallel=True))
+    def test_no_link_joins_two_input_components(self, h):
+        import hgcut.lpcluster
+
+        labels = connected_components(h)
+
+        def one_component(log, vertices):
+            return len({labels[x] for v in vertices for x in log.members_of_current(v)}) <= 1
+
+        def contract(state, links):
+            links = list(links)
+            assert all(one_component(state.log, link) for link in links)
+            return original_contract(state, links)
+
+        def contract_groups(g, groups, log=None):
+            groups = list(groups)
+            assert all(one_component(log, group) for group in groups)
+            return original_groups(g, groups, log)
+
+        original_contract = hgcut.reduce._contract
+        original_groups = hgcut.lpcluster.contract_groups
+        hgcut.reduce._contract = contract
+        hgcut.lpcluster.contract_groups = contract_groups
+        try:
+            for config in UNION_CONFIGS:
+                run_pipeline(h, config)
+        finally:
+            hgcut.reduce._contract = original_contract
+            hgcut.lpcluster.contract_groups = original_groups
+
+    def test_one_pin_edges_leave_the_first_bound_exact(self):
+        # counting the one-pin edges would give degrees of 8 for a cut of 5
+        h = Hypergraph(2, [[0, 1], [0], [1]], [5, 3, 3])
+        assert make_state(h).upper_bound == 5
+        for config in UNION_CONFIGS:
+            res = run_pipeline(h, config)
+            assert res.value == 5
+            assert cut_value(h, res.partition) == 5
