@@ -41,7 +41,7 @@ _LAZY = {
         "trimmer",
     ),
     **dict.fromkeys(
-        ("BipModel", "RelaxedSolution", "SolveLimits", "build_model", "export_lp", "solve_relaxed"),
+        ("BipModel", "RelaxedSolution", "build_model", "export_lp", "solve_relaxed"),
         "bip",
     ),
     **dict.fromkeys(("brute_mincut", "brute_st_mincut"), "oracle"),

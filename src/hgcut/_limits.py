@@ -1,6 +1,7 @@
 """Limits shared by the solvers: cooperative time limits and the vertex cap
-of the brute-force oracle.  Nothing here imports numpy, so the command line
-can read these without loading it."""
+of the brute-force oracle.  Every solver takes a ``Deadline`` and, when it
+expires, raises ``SolveTimeout`` with its best cut.  Nothing here imports
+numpy, so the command line can read these without loading it."""
 
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ DEFAULT_MAX_VERTICES = 20
 class SolveTimeout(Exception):
     """A cooperative time limit expired.
 
-    ``best`` carries the best feasible result found so far (or None when
-    the algorithm has no anytime answer).
+    ``best`` is the solver's best cut so far, a ``CutResult`` of its input
+    that re-scores to its value, or None when it has none to offer.
     """
 
     def __init__(self, best=None) -> None:
@@ -33,8 +34,3 @@ class Deadline:
 
     def expired(self) -> bool:
         return self._until is not None and time.perf_counter() >= self._until
-
-    def remaining(self) -> Optional[float]:
-        if self._until is None:
-            return None
-        return max(0.0, self._until - time.perf_counter())

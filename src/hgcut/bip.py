@@ -12,7 +12,8 @@ every vertex variable satisfies all rows with every indicator at zero, so
 integrality tolerance, plus rounding of fractional points to feasible
 bipartitions.  The reported value is always the recomputed cut of the
 rounded bipartition, never the raw objective, so it is a sound upper
-bound; with generous limits the search is exact up to the tolerance.
+bound; unless its deadline expires, the search is exact up to the
+tolerance.
 
 Only the vertex variables branch.  Once they are integral, the LP's
 optimal edge variables are the cut indicators of the positive-weight edges,
@@ -36,10 +37,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._limits import Deadline, SolveTimeout
-from .hgraph import Hypergraph, Weight, cut_value
+from .hgraph import PROVENANCE_BIP, CutResult, Hypergraph, Weight, cut_value
 
 __all__ = [
-    "BipModel", "SolveLimits", "RelaxedSolution", "build_model", "export_lp", "solve_relaxed", "tableau_bytes",
+    "BipModel", "RelaxedSolution", "build_model", "export_lp", "solve_relaxed", "tableau_bytes",
 ]
 
 
@@ -266,54 +267,33 @@ class _Tableau:
 # -- branch and bound -----------------------------------------------------------
 
 
-@dataclass
-class SolveLimits:
-    time_limit: Optional[float] = None
-    node_limit: Optional[int] = None
-
-
 @dataclass(frozen=True)
-class RelaxedSolution:
-    """Best binary assignment found, its recomputed cut value, and status."""
+class RelaxedSolution(CutResult):
+    """An optimal cut from branch-and-bound and the work it took."""
 
-    assignments: tuple
-    value: Weight
-    block: frozenset
-    status: str  # optimal | feasible-timeout | infeasible
     nodes: int = 0  # LPs solved
     pivots: int = 0  # dual simplex pivots over all nodes
 
 
-def _assignment_for(h: Hypergraph, block: frozenset) -> tuple:
-    n, m = h.vertex_count, h.edge_count
-    xs = [1 if v in block else 0 for v in range(n)]
-    ys = []
-    for e in range(m):
-        pins = h.pins(e)
-        inside = sum(1 for v in pins if v in block)
-        ys.append(1 if 0 < inside < len(pins) else 0)
-    return tuple(xs + ys)
-
-
-def solve_relaxed(model: BipModel, limits: Optional[SolveLimits] = None) -> RelaxedSolution:
+def solve_relaxed(model: BipModel, deadline: Optional[Deadline] = None) -> RelaxedSolution:
     """Best-bound branch-and-bound over the LP relaxation, with rounding.
 
     Every explored point is rounded at one half to a bipartition (moving
     the lightest vertex out if the block takes every vertex) and scored by
-    its true cut weight, so an incumbent exists from the start and the best
-    one is returned when a limit stops the search early.  Only the vertex
-    variables branch: a node closes when each is within the integrality
-    tolerance of a bit, since the LP value is then the cut of that
-    bipartition; otherwise the most fractional vertex variable branches,
-    ties toward the lowest index.
+    its true cut weight, so an incumbent exists from the start.  Only the
+    vertex variables branch: a node closes when each is within the
+    integrality tolerance of a bit, since the LP value is then the cut of
+    that bipartition; otherwise the most fractional vertex variable
+    branches, ties toward the lowest index.
 
     The root fixes vertex 0 into the block, since a bipartition and its
     complement cut alike, and solves from the all-slack basis; a child
-    starts from its parent's final tableau with one bound lowered.
+    starts from its parent's final tableau with one bound lowered.  The
+    deadline is checked before each node and between pivots; when it
+    expires, ``SolveTimeout`` carries the incumbent as a ``CutResult``.
     """
-    limits = limits if limits is not None else SolveLimits()
     h = model.hypergraph
-    deadline = Deadline(limits.time_limit)
+    deadline = deadline if deadline is not None else Deadline()
     a, b = _dense_rows(model)
     c = np.array(model.objective, dtype=float)
     nr, n = model.num_rows, h.vertex_count
@@ -327,13 +307,11 @@ def solve_relaxed(model: BipModel, limits: Optional[SolveLimits] = None) -> Rela
     root = _Tableau.slack(c, a, b)
     heap = [(0.0, 0, nr + n, b, root, root.basic)]  # the root fixes x_0 = 1
     held = 1
-    status = "optimal"
     nodes = pivots = 0
     try:
         while heap:
-            if deadline.expired() or (limits.node_limit is not None and nodes >= limits.node_limit):
-                status = "feasible-timeout"
-                break
+            if deadline.expired():
+                raise SolveTimeout()
             bound, _, row, rhs, parent, basic = heapq.heappop(heap)
             if bound >= best_value - 1e-9:
                 break  # best-bound order: nothing left can improve
@@ -370,13 +348,5 @@ def solve_relaxed(model: BipModel, limits: Optional[SolveLimits] = None) -> Rela
             for bit, child_row in enumerate((nr + j, nr + n + j)):  # x_j = 0, then x_j = 1
                 heapq.heappush(heap, (obj, 2 * nodes + bit, child_row, rhs, tab if keep else None, tab.basic))
     except SolveTimeout:
-        status = "feasible-timeout"
-
-    return RelaxedSolution(
-        assignments=_assignment_for(h, best_block),
-        value=best_value,
-        block=best_block,
-        status=status,
-        nodes=nodes,
-        pivots=pivots,
-    )
+        raise SolveTimeout(CutResult(best_value, best_block, PROVENANCE_BIP)) from None
+    return RelaxedSolution(best_value, best_block, PROVENANCE_BIP, nodes, pivots)

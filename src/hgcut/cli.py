@@ -25,7 +25,7 @@ from dataclasses import asdict
 from typing import Optional
 
 from ._limits import DEFAULT_MAX_VERTICES, Deadline, SolveTimeout
-from .hgraph import CutResult, load_hypergraph, save_hypergraph, storage_nbytes
+from .hgraph import load_hypergraph, save_hypergraph, storage_nbytes
 from .reduce import PipelineConfig, run_pipeline_detailed
 
 ALGORITHMS = ("heicut", "heicut-lp", "trimmer", "bip", "exact", "oracle")
@@ -117,8 +117,7 @@ def cmd_solve(args) -> int:
                 want_partition=want_partition,
                 time_limit=args.time_limit,
             )
-            result, state = run_pipeline_detailed(h, pipeline)
-            value, block = result.value, result.partition
+            res, state = run_pipeline_detailed(h, pipeline)
             round_stats = [dict(vars(s)) for s in state.round_stats]
             stop_reason = state.stop_reason
             residual = dict(vars(state.residual)) if state.residual is not None else None
@@ -126,30 +125,24 @@ def cmd_solve(args) -> int:
         elif algo == "trimmer":
             from .trimmer import trimmer_mincut
 
-            res = trimmer_mincut(h, seed=args.seed, deadline=Deadline(args.time_limit))
-            value, block = res.value, res.partition
             peak = 2 * storage_nbytes(h)
+            res = trimmer_mincut(h, seed=args.seed, deadline=Deadline(args.time_limit))
         elif algo == "bip":
-            from .bip import SolveLimits, build_model, solve_relaxed, tableau_bytes
+            from .bip import build_model, solve_relaxed, tableau_bytes
 
             model = build_model(h, mode=args.mode)
-            sol = solve_relaxed(model, SolveLimits(time_limit=args.time_limit))
-            value, block = sol.value, sol.block
             peak = storage_nbytes(h) + tableau_bytes(model)
-            if sol.status == "feasible-timeout":
-                raise SolveTimeout(CutResult(value, block))
+            res = solve_relaxed(model, Deadline(args.time_limit))
         elif algo == "exact":
             from .osolve import mincut_ordering
 
-            res = mincut_ordering(h, Deadline(args.time_limit))
-            value, block = res.value, res.partition
             peak = 2 * storage_nbytes(h)
+            res = mincut_ordering(h, Deadline(args.time_limit))
         elif algo == "oracle":
             from .oracle import brute_mincut
 
-            res = brute_mincut(h, max_vertices=args.max_enumeration)
-            value, block = res.value, res.partition
             peak = storage_nbytes(h) + 8 * (1 << max(0, h.vertex_count - 1))
+            res = brute_mincut(h, max_vertices=args.max_enumeration)
         else:
             return fail(f"unknown algorithm: {algo}")
     except SolveTimeout as exc:
@@ -168,6 +161,7 @@ def cmd_solve(args) -> int:
     except (ValueError, ArithmeticError) as exc:
         return fail(str(exc))
 
+    value, block = res.value, res.partition
     if want_partition and block is not None:
         _write_partition(args.partition_out, value, block)
     if args.stats_out and round_stats is not None:

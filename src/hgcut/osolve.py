@@ -156,7 +156,9 @@ def ma_ordering(h: Hypergraph, start: int = 0) -> MaOrdering:
 
 def _run_phases(h: Hypergraph, deadline: Optional[Deadline] = None):
     """Ordering phases until one vertex is left, each followed by merging
-    every pair the lemma certifies; returns (best, block, candidates)."""
+    every pair the lemma certifies; returns (best, block, candidates).
+    An expired deadline raises ``SolveTimeout`` with the best phase cut,
+    or with None before the first phase has finished."""
     inc = _Incidence(h)
     key = inc.key
     best: Optional[Weight] = None
@@ -164,7 +166,7 @@ def _run_phases(h: Hypergraph, deadline: Optional[Deadline] = None):
     candidates = []
     while len(inc.live) > 1:
         if deadline is not None and deadline.expired():
-            raise SolveTimeout(None)
+            raise SolveTimeout(None if best is None else CutResult(best, best_block, PROVENANCE_ORDERING))
         order = inc.order(inc.live[0])
         t = order[-1]
         cand = key[t]

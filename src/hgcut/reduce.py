@@ -43,8 +43,6 @@ from .hgraph import (
     ContractionLog,
     CutResult,
     Hypergraph,
-    PROVENANCE_BIP,
-    PROVENANCE_ORDERING,
     PROVENANCE_REDUCTION,
     PROVENANCE_TRIVIAL,
     Weight,
@@ -126,7 +124,7 @@ class PipelineState:
     round_stats: List[RuleStats] = field(default_factory=list)
     round_index: int = 0
     peak_bytes: int = 0
-    deadline: Optional[Deadline] = None
+    deadline: Deadline = field(default_factory=Deadline)
     # why reduction stopped: "fixpoint", "terminal" (one vertex left) or
     # "zero-bound" (a cut of weight 0 is known); None while running
     stop_reason: Optional[str] = None
@@ -419,10 +417,7 @@ def rule_imbalanced_triangle(state: PipelineState) -> bool:
     for (u, v), w_uv in pair_w.items():
         if marked[u] or marked[v]:
             continue
-        nu = neighbors.get(u)
-        nv = neighbors.get(v)
-        if not nu or not nv:
-            continue
+        nu, nv = neighbors[u], neighbors[v]
         common = nu.keys() & nv.keys()
         for w in sorted(common):
             if wdeg[u] <= 2 * (w_uv + nu[w]) and wdeg[v] <= 2 * (w_uv + nv[w]):
@@ -450,11 +445,9 @@ def rule_heavy_neighborhood(state: PipelineState) -> bool:
         if marked[u] or marked[v]:
             continue
         total = w_uv
-        nu = neighbors.get(u)
-        nv = neighbors.get(v)
-        if nu and nv:
-            for w in nu.keys() & nv.keys():
-                total += min(nu[w], nv[w])
+        nu, nv = neighbors[u], neighbors[v]
+        for w in nu.keys() & nv.keys():
+            total += min(nu[w], nv[w])
         if total >= bound:
             links.append((u, v))
             marked[u] = marked[v] = 1
@@ -488,11 +481,11 @@ def _lp_contract(state: PipelineState) -> bool:
 
 
 def _result(state: PipelineState, provenance: str, value=None, side=None) -> CutResult:
-    """A cut the pipeline knows without a solver: by default the running
-    bound and the block that certifies it.  The zero cuts pass ``value``
-    as the int 0 (a float bound of 0.0 would print otherwise); a
-    disconnected hypergraph passes one component's current ids as
-    ``side``."""
+    """A cut of the input: by default the running bound and the block that
+    certifies it.  A cut of the current hypergraph passes its ``value``
+    and its side as current ids, which the log expands to input vertices;
+    the zero cuts pass ``value`` as the int 0 (a float bound of 0.0 would
+    print otherwise)."""
     block = state.bound_block
     if side is not None:
         block = state.log.expand_block(side) if state.log is not None else None
@@ -504,7 +497,7 @@ def _result(state: PipelineState, provenance: str, value=None, side=None) -> Cut
 
 
 def _check_deadline(state: PipelineState) -> None:
-    if state.deadline is not None and state.deadline.expired():
+    if state.deadline.expired():
         raise SolveTimeout(_result(state, PROVENANCE_TRIVIAL) if state.upper_bound < INF else None)
 
 
@@ -539,9 +532,12 @@ def _reduce_rounds(state: PipelineState) -> Optional[CutResult]:
 
 
 def _solve_residual(state: PipelineState) -> CutResult:
-    """Solve what reduction left.  The run's one connectivity check is on
-    the residual: ``mincut_ordering`` makes it itself, and only the binary
-    program needs it here."""
+    """Solve what reduction left and return the better of the running
+    bound and the solver's cut, ties to the solver's cut.  A solver whose
+    deadline expires raises ``SolveTimeout`` with its best cut or None;
+    the better of that and the bound is raised the same way.  The run's
+    one connectivity check is on the residual: ``mincut_ordering`` makes
+    it itself, and only the binary program needs it here."""
     from .osolve import mincut_ordering
 
     config = state.config
@@ -551,44 +547,36 @@ def _solve_residual(state: PipelineState) -> CutResult:
     )
     state.residual = stats
 
-    if config.solver == "exact":
-        res = mincut_ordering(h, state.deadline)
-        if res.phases == 0:  # disconnected: a zero cut along one component
-            stats.status = "disconnected"
-            return _result(state, PROVENANCE_REDUCTION, 0, res.partition)
-        stats.phases = res.phases
-        solver_value = res.value
-        solver_block = state.log.expand_block(res.partition) if state.log is not None else None
-        solver_prov = PROVENANCE_ORDERING
-    elif config.solver == "bip":
-        from .bip import SolveLimits, build_model, solve_relaxed, tableau_bytes
+    try:
+        if config.solver == "exact":
+            res = mincut_ordering(h, state.deadline)
+            if res.phases == 0:  # disconnected: a zero cut along one component
+                stats.status = "disconnected"
+                return _result(state, PROVENANCE_REDUCTION, 0, res.partition)
+            stats.phases = res.phases
+        elif config.solver == "bip":
+            from .bip import build_model, solve_relaxed, tableau_bytes
 
-        labels = connected_components(h)
-        if max(labels) != 0:
-            stats.status = "disconnected"
-            return _result(state, PROVENANCE_REDUCTION, 0, (v for v, c in enumerate(labels) if c == 0))
-        model = build_model(h)
-        state.peak_bytes = max(state.peak_bytes, storage_nbytes(h) + tableau_bytes(model))
-        remaining = state.deadline.remaining() if state.deadline is not None else None
-        sol = solve_relaxed(model, SolveLimits(time_limit=remaining))
-        stats.status, stats.nodes, stats.pivots = sol.status, sol.nodes, sol.pivots
-        solver_value = sol.value
-        solver_block = (
-            state.log.expand_block(sol.block)
-            if state.log is not None and sol.block is not None
-            else None
-        )
-        solver_prov = PROVENANCE_BIP
-        if sol.status == "feasible-timeout":
-            if state.upper_bound <= solver_value:
-                raise SolveTimeout(_result(state, PROVENANCE_TRIVIAL))
-            raise SolveTimeout(CutResult(value=solver_value, partition=solver_block, provenance=solver_prov))
-    else:
-        raise ValueError(f"unknown residual solver: {config.solver!r}")
+            labels = connected_components(h)
+            if max(labels) != 0:
+                stats.status = "disconnected"
+                return _result(state, PROVENANCE_REDUCTION, 0, (v for v, c in enumerate(labels) if c == 0))
+            model = build_model(h)
+            state.peak_bytes = max(state.peak_bytes, storage_nbytes(h) + tableau_bytes(model))
+            res = solve_relaxed(model, state.deadline)
+            stats.nodes, stats.pivots = res.nodes, res.pivots
+        else:
+            raise ValueError(f"unknown residual solver: {config.solver!r}")
+    except SolveTimeout as exc:
+        raise SolveTimeout(_better(state, exc.best)) from None
+    return _better(state, res)
 
-    if state.upper_bound < solver_value:
+
+def _better(state: PipelineState, res: Optional[CutResult]) -> CutResult:
+    """The running bound or the solver's cut ``res``, whichever is smaller."""
+    if res is None or state.upper_bound < res.value:
         return _result(state, PROVENANCE_TRIVIAL)
-    return CutResult(value=solver_value, partition=solver_block, provenance=solver_prov)
+    return _result(state, res.provenance, res.value, res.partition)
 
 
 def run_pipeline_detailed(

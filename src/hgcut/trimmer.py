@@ -122,6 +122,8 @@ def trimmer_mincut(
 
     Stops at the first k whose certificate cut is below k; that value is
     the minimum cut of the input.  ``trace`` collects (k, cut) pairs.
+    An expired deadline raises ``SolveTimeout(None)``: a certificate's cut
+    may undercount the input's, so the inner solver's best cut is dropped.
     """
     _require_unweighted(h)
     n = h.vertex_count
@@ -139,7 +141,10 @@ def trimmer_mincut(
         if deadline is not None and deadline.expired():
             raise SolveTimeout(None)
         certificate = construct_certificate(h, ordering, backward, k)
-        res = mincut_ordering(certificate, deadline)
+        try:
+            res = mincut_ordering(certificate, deadline)
+        except SolveTimeout:
+            raise SolveTimeout(None) from None
         if trace is not None:
             trace.append((k, res.value))
         if res.value < k:

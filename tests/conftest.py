@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hgcut import GenSpec, Hypergraph, random_hypergraph
+from hgcut import Deadline, GenSpec, Hypergraph, random_hypergraph
 from hgcut.reduce import _contract
 
 RUN_RECORD_SCHEMA = {
@@ -33,7 +33,7 @@ RUN_RECORD_SCHEMA = {
                 "n": {"type": "integer", "minimum": 2},
                 "m": {"type": "integer", "minimum": 0},
                 "p": {"type": "integer", "minimum": 0},
-                "status": {"enum": ["optimal", "feasible-timeout", "infeasible", "disconnected"]},
+                "status": {"enum": ["optimal", "disconnected"]},
                 "phases": {"type": ["integer", "null"], "minimum": 1},
                 "nodes": {"type": ["integer", "null"], "minimum": 0},
                 "pivots": {"type": ["integer", "null"], "minimum": 0},
@@ -118,6 +118,25 @@ def loose_imbalanced_vertex(state) -> bool:
         if len(pins) == 2 and (wdeg[pins[0]] <= 2 * w or wdeg[pins[1]] <= 2 * w)
     ]
     return _contract(state, links)
+
+
+def unit_cycle(n):
+    """A cycle of ``n`` unit two-pin edges: minimum cut 2, and for n >= 4
+    no reduction rule fires."""
+    return Hypergraph(n, [[i, (i + 1) % n] for i in range(n)])
+
+
+class ExpiresOnCheck(Deadline):
+    """A deadline that reads expired from its ``k``-th check on; ``checks``
+    counts the checks made."""
+
+    def __init__(self, k):
+        super().__init__()
+        self.k, self.checks = k, 0
+
+    def expired(self):
+        self.checks += 1
+        return self.checks >= self.k
 
 
 def two_cycle_union(n=16, step=5):

@@ -8,6 +8,7 @@ import jsonschema
 
 from hgcut import (
     GenSpec,
+    Hypergraph,
     PipelineConfig,
     backward_lists,
     brute_mincut,
@@ -213,10 +214,7 @@ def test_criterion_8_near_linear_scaling():
                 ensure_connected=True,
             )
         )
-        repeats = 2 if p_target <= 200_000 else 1
-        best = min(
-            _timed_solve(h) for _ in range(repeats)
-        )
+        best = min(_timed_solve(_fresh_copy(h)) for _ in range(2))
         sizes.append(h.pin_count)
         times.append(best)
         p_target *= 2
@@ -228,6 +226,17 @@ def test_criterion_8_near_linear_scaling():
         8,
         max(ratios) < 4.0,
         f"per-doubling ratios {['%.2f' % r for r in ratios]} (< 4.0 required); {detail}",
+    )
+
+
+def _fresh_copy(h):
+    """The same hypergraph with nothing cached, so every run starts cold."""
+    return Hypergraph(
+        h.vertex_count,
+        [h.pins(e) for e in range(h.edge_count)],
+        h.edge_weights(),
+        h.vertex_weights(),
+        _normalized=True,
     )
 
 

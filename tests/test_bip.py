@@ -11,7 +11,6 @@ from hgcut import (
     GenSpec,
     Hypergraph,
     PipelineConfig,
-    SolveLimits,
     brute_mincut,
     build_model,
     cut_value,
@@ -22,7 +21,7 @@ from hgcut import (
 )
 from hgcut._limits import Deadline, SolveTimeout
 from hgcut.bip import _Tableau, _dense_rows, tableau_bytes
-from conftest import random_instance
+from conftest import ExpiresOnCheck, random_instance
 
 
 def _dual_lp(c, a, b):
@@ -182,13 +181,12 @@ class TestSolveRelaxed:
     def test_triangle(self, triangle):
         sol = solve_relaxed(build_model(triangle))
         assert sol.value == 2
-        assert sol.status == "optimal"
-        assert cut_value(triangle, sol.block) == 2
+        assert cut_value(triangle, sol.partition) == 2
 
     def test_single_spanning_edge(self, spanning_edge):
         sol = solve_relaxed(build_model(spanning_edge))
         assert sol.value == 7
-        assert len(sol.block) in (1, 3)
+        assert len(sol.partition) in (1, 3)
 
     def test_two_components(self):
         h = Hypergraph(4, [[0, 1], [2, 3]], [3, 4])
@@ -200,8 +198,7 @@ class TestSolveRelaxed:
             h = random_instance(seed)
             truth = brute_mincut(h).value
             sol = solve_relaxed(build_model(h))
-            assert sol.status == "optimal"
-            assert cut_value(h, sol.block) == sol.value
+            assert cut_value(h, sol.partition) == sol.value
             assert sol.value == truth
 
     def test_modes_agree(self):
@@ -212,21 +209,36 @@ class TestSolveRelaxed:
             assert a == b
 
     def test_assignment_objective_matches_value(self):
+        # the block and its cut indicators are a feasible point of the
+        # model whose objective is the reported value
         for seed in range(20):
             h = random_instance(seed)
-            sol = solve_relaxed(build_model(h))
-            n = h.vertex_count
-            objective = sum(
-                h.weight(e) * sol.assignments[n + e] for e in range(h.edge_count)
-            )
-            assert objective == sol.value
+            model = build_model(h)
+            sol = solve_relaxed(model)
+            xs = [int(v in sol.partition) for v in range(h.vertex_count)]
+            ys = [int(0 < sum(xs[v] for v in pins) < len(pins)) for pins, _ in h.edges()]
+            point = np.array(xs + ys, dtype=float)
+            a, b = _dense_rows(model)
+            assert (a @ point <= b + 1e-9).all()
+            assert np.dot(model.objective, point) == sol.value
 
     def test_node_limit_returns_incumbent(self):
         h = random_instance(2)
-        sol = solve_relaxed(build_model(h), SolveLimits(node_limit=1))
-        assert sol.status == "feasible-timeout"
-        assert cut_value(h, sol.block) == sol.value
-        assert sol.value >= brute_mincut(h).value
+        with pytest.raises(SolveTimeout) as exc:  # stops before its first node
+            solve_relaxed(build_model(h), Deadline(0))
+        best = exc.value.best
+        assert cut_value(h, best.partition) == best.value
+        assert best.value >= brute_mincut(h).value
+
+    def test_deadline_inside_lp_raises_incumbent(self):
+        # the node loop's check passes, the root LP's first pivot check fails
+        h = random_instance(2)
+        deadline = ExpiresOnCheck(2)
+        with pytest.raises(SolveTimeout) as exc:
+            solve_relaxed(build_model(h), deadline)
+        best = exc.value.best
+        assert deadline.checks == 2
+        assert cut_value(h, best.partition) == best.value >= brute_mincut(h).value
 
     @pytest.mark.parametrize("w_hi", [2, 100, 10**4, 10**6])
     def test_exact_across_weight_ranges_and_edge_sizes(self, w_hi):
@@ -246,8 +258,7 @@ class TestSolveRelaxed:
             truth = brute_mincut(h).value
             for mode in ("pairwise", "representative"):
                 sol = solve_relaxed(build_model(h, mode))
-                assert sol.status == "optimal"
-                assert sol.value == truth == cut_value(h, sol.block)
+                assert sol.value == truth == cut_value(h, sol.partition)
             assert run_pipeline(h, PipelineConfig(solver="bip")).value == truth
 
     def test_work_counts_repeat(self):
@@ -261,11 +272,14 @@ class TestSolveRelaxed:
         rng = random.Random(13)
         h = Hypergraph(13, _linear_triples(rng, 13), [rng.randint(80, 100) for _ in range(13)])
         model = build_model(h)
-        root = solve_relaxed(model, SolveLimits(node_limit=1))
+        a, b = _dense_rows(model)
+        root = _Tableau.slack(np.array(model.objective, dtype=float), a, b)
+        root.lower_rhs(model.num_rows + h.vertex_count)  # x_0 = 1, as the search's root
+        _, root_pivots = root.solve(Deadline())
         sol = solve_relaxed(model)
         assert sol.value == brute_mincut(h).value
         assert (sol.nodes, sol.pivots) == (21, 156)  # branching on vertex variables only
-        assert (sol.pivots - root.pivots) / (sol.nodes - 1) < 10
+        assert (sol.pivots - root_pivots) / (sol.nodes - 1) < 10
 
     @settings(
         max_examples=300,
@@ -279,9 +293,8 @@ class TestSolveRelaxed:
         truth = brute_mincut(h).value
         for mode in ("pairwise", "representative"):
             sol = solve_relaxed(build_model(h, mode))
-            assert sol.status == "optimal"
-            assert sol.value == truth == cut_value(h, sol.block)
-            assert 0 < len(sol.block) < h.vertex_count
+            assert sol.value == truth == cut_value(h, sol.partition)
+            assert 0 < len(sol.partition) < h.vertex_count
 
     def test_children_rebuilt_from_basis_agree(self, monkeypatch):
         models = [build_model(random_instance(seed)) for seed in range(20)]
@@ -289,17 +302,18 @@ class TestSolveRelaxed:
         monkeypatch.setattr("hgcut.bip._HELD_TABLEAUX", 1)  # only the root is held
         for model, expected in zip(models, warm):
             sol = solve_relaxed(model)
-            assert (sol.value, sol.status) == (expected.value, expected.status)
-            assert cut_value(model.hypergraph, sol.block) == sol.value
+            assert sol.value == expected.value
+            assert cut_value(model.hypergraph, sol.partition) == sol.value
 
     def test_time_limit_checked_inside_lp(self):
         h = random_instance(0, n_range=(40, 40), m_range=(120, 120), w_hi=100)
         model = build_model(h)
         started = time.perf_counter()
-        sol = solve_relaxed(model, SolveLimits(time_limit=0.2))
+        with pytest.raises(SolveTimeout) as exc:
+            solve_relaxed(model, Deadline(0.2))
         assert time.perf_counter() - started < 1.5
-        assert sol.status == "feasible-timeout"
-        assert cut_value(h, sol.block) == sol.value
+        best = exc.value.best
+        assert cut_value(h, best.partition) == best.value
 
     def test_model_objective_bounds_every_feasible_assignment(self):
         # for every feasible 0/1 assignment the objective dominates the cut

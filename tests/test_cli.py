@@ -3,9 +3,10 @@ import json
 import jsonschema
 import pytest
 
-from hgcut import Hypergraph, load_hypergraph, save_hypergraph
+from hgcut import Hypergraph, cut_value, load_hypergraph, save_hypergraph
+from hgcut.hgraph import storage_nbytes
 from hgcut.cli import main, profile_fractions
-from conftest import RUN_RECORD_SCHEMA, profile_fixture_records, two_cycle_union
+from conftest import RUN_RECORD_SCHEMA, profile_fixture_records, two_cycle_union, unit_cycle
 
 
 @pytest.fixture
@@ -96,6 +97,30 @@ class TestSolve:
         assert record["status"] == "timeout-with-incumbent"
         assert record["value"] == 2  # the trivial bound on a triangle
         assert (record["stop_reason"], record["residual"]) == ("timeout", None)
+
+    @pytest.mark.parametrize(
+        "algo, status", [("heicut", "timeout-with-incumbent"), ("exact", "timeout-with-incumbent"),
+                         ("trimmer", "failed")]
+    )
+    def test_time_limit_inside_the_ordering_solver(self, capsys, tmp_path, algo, status):
+        # a 3,000-vertex cycle takes seconds to solve exactly; its first
+        # ordering phase takes milliseconds
+        h = unit_cycle(3000)
+        path, out = tmp_path / "cycle.hgr", tmp_path / "part.json"
+        save_hypergraph(h, path)
+        code, record = run_record(
+            capsys,
+            ["solve", str(path), "--algo", algo, "--time-limit", "1", "--partition-out", str(out)],
+        )
+        assert record["status"] == status
+        if status == "failed":
+            assert code == 1 and not out.exists()
+            return
+        assert (code, record["value"]) == (0, 2)
+        if algo == "exact":  # the estimate of a finished run
+            assert record["peak_memory_bytes"] == 2 * storage_nbytes(h)
+        certificate = json.loads(out.read_text())
+        assert certificate["value"] == 2 == cut_value(h, certificate["block"])
 
     def test_missing_file_fails(self, capsys, tmp_path):
         code, record = run_record(capsys, ["solve", str(tmp_path / "nope.hgr")])

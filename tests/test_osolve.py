@@ -7,6 +7,7 @@ from hgcut import (
     Deadline,
     GenSpec,
     Hypergraph,
+    SolveTimeout,
     brute_mincut,
     connected_components,
     cut_value,
@@ -19,7 +20,7 @@ from hgcut import (
     trimmer_mincut,
 )
 from hgcut.osolve import _Incidence
-from conftest import random_instance, two_cycle_union
+from conftest import ExpiresOnCheck, random_instance, two_cycle_union
 
 
 def two_clusters(n, seed, *, size_range, weight_range, density=4, crossing=3):
@@ -110,6 +111,25 @@ class TestMincutOrdering:
             res = mincut_ordering(h)
             assert res.value == brute_mincut(h).value
             assert cut_value(h, res.partition) == res.value
+
+    def test_deadline_after_first_phase_raises_its_cut(self):
+        seen = 0
+        for seed in range(80):
+            h = random_instance(seed)
+            candidates = phase_cut_values(h)
+            if len(candidates) < 2:
+                continue  # one phase finishes the solve
+            seen += 1
+            with pytest.raises(SolveTimeout) as exc:
+                mincut_ordering(h, ExpiresOnCheck(2))
+            best = exc.value.best
+            assert best.value == candidates[0] == cut_value(h, best.partition)
+        assert seen >= 10
+
+    def test_deadline_before_first_phase_raises_none(self):
+        with pytest.raises(SolveTimeout) as exc:
+            mincut_ordering(random_instance(0), Deadline(0))
+        assert exc.value.best is None
 
     def test_phase_count_and_candidate_floor(self):
         for seed in range(40):

@@ -23,6 +23,7 @@ from hgcut.reduce import (
     RULE_ORDER,
     _contract,
     _reduce_rounds,
+    _solve_residual,
     initial_state,
     rule_heavy_edge,
     rule_heavy_neighborhood,
@@ -34,7 +35,8 @@ from hgcut.reduce import (
     update_upper_bound,
 )
 from conftest import (
-    equality_case_instance, loose_imbalanced_vertex, random_instance, two_cycle_union,
+    ExpiresOnCheck, equality_case_instance, loose_imbalanced_vertex, random_instance,
+    two_cycle_union, unit_cycle,
 )
 
 
@@ -581,6 +583,23 @@ class TestStopReasonAndResidual:
                 else:
                     assert r.phases is None and r.nodes >= 1 and r.pivots >= 0
         assert seen >= 10
+
+    @pytest.mark.parametrize("solver", ["exact", "bip"])
+    @pytest.mark.parametrize("checks", [1, 2])
+    def test_residual_timeout_keeps_the_bound(self, solver, checks):
+        # the deadline expires inside the solver: at its first check, or at
+        # the second (after the exact solver's first phase, or at the bip
+        # root LP's first pivot); either way the bound's value is raised
+        # with a block that re-scores to it
+        h = unit_cycle(30)
+        state = make_state(h, solver=solver, want_partition=True)
+        assert _reduce_rounds(state) is None and state.current.vertex_count == 30
+        state.deadline = ExpiresOnCheck(checks)
+        with pytest.raises(SolveTimeout) as exc:
+            _solve_residual(state)
+        best = exc.value.best
+        assert state.deadline.checks == checks
+        assert best.value == state.upper_bound == 2 == cut_value(h, best.partition)
 
 
 class TestStrictness:

@@ -2,6 +2,7 @@ import pytest
 
 from hgcut import (
     Hypergraph,
+    SolveTimeout,
     backward_lists,
     brute_mincut,
     brute_st_mincut,
@@ -10,7 +11,7 @@ from hgcut import (
     cut_value,
     trimmer_mincut,
 )
-from conftest import random_instance
+from conftest import ExpiresOnCheck, random_instance, unit_cycle
 
 
 def ordering_with_start_zero(h):
@@ -107,6 +108,15 @@ class TestTrimmerMincut:
         h = Hypergraph(3, [[0, 1], [1, 2]], [2, 1])
         with pytest.raises(ValueError, match="unweighted"):
             trimmer_mincut(h)
+
+    def test_timeout_inside_inner_solve_offers_no_cut(self):
+        # the loop's check and the inner solve's first phase pass; the
+        # inner solve's second phase check expires
+        deadline = ExpiresOnCheck(3)
+        with pytest.raises(SolveTimeout) as exc:
+            trimmer_mincut(unit_cycle(6), deadline=deadline)
+        assert deadline.checks == 3
+        assert exc.value.best is None
 
     def test_oracle_equivalence_sample(self):
         for seed in range(150):
