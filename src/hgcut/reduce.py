@@ -17,9 +17,9 @@ residual solver (exact ordering solver or the branch-and-bound
 relaxation).
 
 A rule asks for a contraction by collecting *links*: vertex tuples whose
-members must end in one vertex (a heavy edge's pins, a pair, a nested
-component), which may overlap.  It hands them all to ``_contract``, which
-closes them with ``hgraph._roots`` and makes one ``contract_groups`` call.
+members must end in one vertex (a heavy edge's pins or a pair), which may
+overlap.  It hands them all to ``_contract``, which closes them with
+``hgraph._roots`` and makes one ``contract_groups`` call.
 The driver, not the rule, records each call's effect in ``round_stats``.
 
 No pass checks the input's connectivity.  Every link lies inside one
@@ -27,9 +27,14 @@ hyperedge or joins a pair that shares one, and label propagation spreads
 labels only along hyperedges, so no contraction joins two components.  A
 disconnected input stops at ``zero-bound`` once a component collapses to
 a vertex of degree 0, or else at a fixpoint whose residual the solver step
-finds disconnected.  ``heavy-edge`` runs before ``singleton``: weighted
-degrees ignore one-pin edges, so the first bound is a cut value, and
-parallel edges that reach it only together are merged by the next rebuild.
+finds disconnected.
+
+No rule compacts the input.  Weighted degrees ignore one-pin edges, so the
+first bound is a cut value.  ``heavy-edge`` reads parallel edges one by
+one, but ``heavy-overlap`` sums them, so it links the pins of parallel
+edges that reach the bound only together; the pair rules read two-pin
+edges through ``_pair_weights``.  Every ``contract_groups`` rebuild
+compacts, and ``_solve_residual`` compacts an input that no rule changed.
 An input that ``heavy-edge`` alone collapses costs one rebuild.
 """
 
@@ -61,10 +66,8 @@ __all__ = [
     "RULE_ORDER",
     "initial_state",
     "update_upper_bound",
-    "rule_singleton",
     "rule_heavy_edge",
     "rule_heavy_overlap",
-    "rule_nested_substructure",
     "rule_imbalanced_vertex",
     "rule_imbalanced_triangle",
     "rule_heavy_neighborhood",
@@ -189,8 +192,12 @@ def _contract(state: PipelineState, links: Iterable[Sequence[int]]) -> bool:
     """Contract each class of the closure of ``links`` into one vertex."""
     by_root: dict = {}
     for v, r in enumerate(_roots(state.current.vertex_count, links)):
-        if r != v:
-            by_root.setdefault(r, [r]).append(v)
+        if r != v:  # r < v, so r itself was passed over already
+            group = by_root.get(r)
+            if group is None:
+                by_root[r] = [r, v]
+            else:
+                group.append(v)
     if not by_root:
         return False
     state.replace(contract_groups(state.current, by_root.values(), state.log))
@@ -198,17 +205,7 @@ def _contract(state: PipelineState, links: Iterable[Sequence[int]]) -> bool:
     return True
 
 
-# -- the seven rules ----------------------------------------------------------
-
-
-def rule_singleton(state: PipelineState) -> bool:
-    """Drop hyperedges that can never be cut (single pin or zero weight);
-    parallel edges are merged along the way."""
-    h = compact(state.current)
-    if h is state.current:
-        return False
-    state.replace(h)  # weighted degrees are unchanged
-    return True
+# -- the five rules -----------------------------------------------------------
 
 
 def rule_heavy_edge(state: PipelineState) -> bool:
@@ -268,108 +265,24 @@ def rule_heavy_overlap(state: PipelineState) -> bool:
     return _contract(state, links)
 
 
-def rule_nested_substructure(state: PipelineState) -> bool:
-    """Contract substructures nested strictly inside one hyperedge.
-
-    For a parent edge e, a pin is tainted when another of its edges is
-    incomparable with e (reaches outside e without containing it): it may
-    have an escaping path.  The remaining pins, linked by edges that are
-    strict subsets of e, can only reach the rest of the hypergraph through
-    e itself, so each untainted component of two or more pins (short of
-    all of e) merges without changing any cut.  Superset edges are ignored:
-    they cannot carry a path that leaves e without containing it.
-
-    The search runs from the subset side.  Each edge of two or more pins
-    walks the incidence list of its lowest-degree pin and files itself
-    under every strictly larger edge there that contains it; a one-pin
-    edge links nothing and an edge of the largest size has no parent.
-    Only parents that received a subset close their components, in
-    ascending order, and a component is tested for taint through its own
-    pins' edges only, stopping at the first escaping one.  The scan visits
-    the sum over edges of their lowest pin degree, not the sum over
-    parents of all their pins' degrees, which a hub vertex on many parents
-    makes quadratic; an edge whose pins are all hubs still walks a whole
-    hub list, so hub inputs remain superlinear.  The deadline is checked
-    after every 4,096 scanned incidence entries and once per parent, and
-    nothing changes before ``_contract``, so a deadline that expires
-    inside the rule leaves ``state`` as it was.
-    """
-    h = state.current
-    edge_pins = [pins for pins, _ in h.edges()]
-    size = list(map(len, edge_pins))
-    top = max(size, default=0)
-    incidence = list(map(h.incident, range(h.vertex_count)))
-    degree = list(map(len, incidence))
-    pin_sets = [None] * len(edge_pins)
-
-    def pset(eid: int) -> set:
-        s = pin_sets[eid]
-        if s is None:
-            s = pin_sets[eid] = set(edge_pins[eid])
-        return s
-
-    subs_of: dict = {}
-    scanned = 0
-    for eid, pins in enumerate(edge_pins):
-        k = size[eid]
-        if k < 2 or k >= top:
-            continue
-        low = min(pins, key=degree.__getitem__)
-        scanned += degree[low]
-        if scanned >= 4096:
-            _check_deadline(state)
-            scanned = 0
-        for parent in incidence[low]:
-            if size[parent] > k and pset(parent).issuperset(pins):
-                subs_of.setdefault(parent, []).append(eid)
-
-    def escapes(v: int, parent: int, parent_set: set) -> bool:
-        for eid in incidence[v]:
-            if eid != parent:
-                es = pset(eid)
-                if not (es < parent_set or parent_set <= es):
-                    return True
-        return False
-
-    links = []
-    used = bytearray(h.vertex_count)
-    for parent in sorted(subs_of):
-        _check_deadline(state)
-        pins = edge_pins[parent]
-        parent_set = pset(parent)
-        # components of the subset edges, over positions inside e
-        pos = {v: i for i, v in enumerate(pins)}
-        roots = _roots(len(pins), [[pos[v] for v in edge_pins[eid]] for eid in subs_of[parent]])
-        comps: dict = {}
-        for i, r in enumerate(roots):
-            if r != i:
-                comps.setdefault(r, [pins[r]]).append(pins[i])
-        for r in sorted(comps):
-            comp = comps[r]
-            if len(comp) >= len(pins) or any(used[v] for v in comp):
-                continue
-            if any(escapes(v, parent, parent_set) for v in comp):
-                continue
-            for v in comp:
-                used[v] = 1
-            links.append(comp)
-    return _contract(state, links)
-
-
-def _pair_weights(h: Hypergraph) -> Tuple[dict, dict]:
-    """Weights of size-2 edges and the induced neighbor map."""
+def _pair_weights(h: Hypergraph) -> dict:
+    """The summed weight of the two-pin edges on each pin pair, in the
+    order ``compact`` would keep them: zero-weight edges are skipped, so an
+    uncompacted input gives what its compacted form gives."""
     pair_w: dict = {}
-    neighbors: dict = {}
     for pins, w in h.edges():
-        if len(pins) != 2:
-            continue
-        u, v = pins
-        key = (u, v)
-        pair_w[key] = pair_w.get(key, 0) + w
+        if len(pins) == 2 and w:
+            pair_w[pins] = pair_w.get(pins, 0) + w
+    return pair_w
+
+
+def _neighbors(pair_w: dict) -> dict:
+    """Each vertex's two-pin neighbours, mapped to the pair's weight."""
+    neighbors: dict = {}
     for (u, v), w in pair_w.items():
         neighbors.setdefault(u, {})[v] = w
         neighbors.setdefault(v, {})[u] = w
-    return pair_w, neighbors
+    return neighbors
 
 
 def rule_imbalanced_vertex(state: PipelineState) -> bool:
@@ -378,20 +291,18 @@ def rule_imbalanced_vertex(state: PipelineState) -> bool:
     The inequality must be strict: two equal-weight edges sharing a pin can
     otherwise both qualify through that pin, and contracting them together
     assumes the shared vertex sits on both sides of a cut at once.  Each
-    vertex joins at most one contraction per pass.
+    vertex joins at most one contraction per pass.  Parallel two-pin edges
+    are tested as one.
     """
     h = state.current
     wdeg = h.weighted_degrees()
     marked = bytearray(h.vertex_count)
     links = []
-    for pins, w in h.edges():
-        if len(pins) != 2:
-            continue
-        u, v = pins
+    for (u, v), w in _pair_weights(h).items():
         if marked[u] or marked[v]:
             continue
         if wdeg[u] < 2 * w or wdeg[v] < 2 * w:
-            links.append(pins)
+            links.append((u, v))
             marked[u] = marked[v] = 1
     return _contract(state, links)
 
@@ -407,17 +318,24 @@ def rule_imbalanced_triangle(state: PipelineState) -> bool:
     cut does not get dearer.  Either endpoint may be the one apart, so the
     test must hold for both.
     Only trivial cuts can be lost, and those are already folded into the
-    running bound.
+    running bound.  The deadline is checked after every 4,096 scanned
+    neighbour entries, before anything changes.
     """
     h = state.current
     wdeg = h.weighted_degrees()
-    pair_w, neighbors = _pair_weights(h)
+    pair_w = _pair_weights(h)
+    neighbors = _neighbors(pair_w)
     marked = bytearray(h.vertex_count)
     links = []
+    scanned = 0
     for (u, v), w_uv in pair_w.items():
         if marked[u] or marked[v]:
             continue
         nu, nv = neighbors[u], neighbors[v]
+        scanned += min(len(nu), len(nv))
+        if scanned >= 4096:
+            _check_deadline(state)
+            scanned = 0
         common = nu.keys() & nv.keys()
         for w in sorted(common):
             if wdeg[u] <= 2 * (w_uv + nu[w]) and wdeg[v] <= 2 * (w_uv + nv[w]):
@@ -432,20 +350,26 @@ def rule_heavy_neighborhood(state: PipelineState) -> bool:
     all common two-pin neighbors reaches the bound.
 
     A cut separating the endpoints would also cut one edge of each common
-    neighbor, so it could not beat the bound.  Per-pass vertex marking, as
-    above.
+    neighbor, so it could not beat the bound.  Per-pass vertex marking and
+    deadline checks, as above.
     """
     bound = state.upper_bound
     if bound <= 0:
         return False
-    pair_w, neighbors = _pair_weights(state.current)
+    pair_w = _pair_weights(state.current)
+    neighbors = _neighbors(pair_w)
     marked = bytearray(state.current.vertex_count)
     links = []
+    scanned = 0
     for (u, v), w_uv in pair_w.items():
         if marked[u] or marked[v]:
             continue
         total = w_uv
         nu, nv = neighbors[u], neighbors[v]
+        scanned += min(len(nu), len(nv))
+        if scanned >= 4096:
+            _check_deadline(state)
+            scanned = 0
         for w in nu.keys() & nv.keys():
             total += min(nu[w], nv[w])
         if total >= bound:
@@ -456,9 +380,7 @@ def rule_heavy_neighborhood(state: PipelineState) -> bool:
 
 RULE_ORDER: Tuple[Tuple[str, Callable[[PipelineState], bool]], ...] = (
     ("heavy-edge", rule_heavy_edge),
-    ("singleton", rule_singleton),
     ("heavy-overlap", rule_heavy_overlap),
-    ("nested-substructure", rule_nested_substructure),
     ("imbalanced-vertex", rule_imbalanced_vertex),
     ("imbalanced-triangle", rule_imbalanced_triangle),
     ("heavy-neighborhood", rule_heavy_neighborhood),
@@ -537,10 +459,13 @@ def _solve_residual(state: PipelineState) -> CutResult:
     deadline expires raises ``SolveTimeout`` with its best cut or None;
     the better of that and the bound is raised the same way.  The run's
     one connectivity check is on the residual: ``mincut_ordering`` makes
-    it itself, and only the binary program needs it here."""
+    it itself, and only the binary program needs it here.  The residual is
+    compacted first, since an input that no rule changed may still hold
+    one-pin, zero-weight or parallel edges."""
     from .osolve import mincut_ordering
 
     config = state.config
+    state.replace(compact(state.current))
     h = state.current
     stats = ResidualStats(
         solver=config.solver, n=h.vertex_count, m=h.edge_count, p=h.pin_count, status="optimal"

@@ -1,5 +1,4 @@
 import random
-import time
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -12,16 +11,15 @@ from hgcut import (
     PipelineConfig,
     SolveTimeout,
     brute_mincut,
+    compact,
     connected_components,
     cut_value,
     mincut_ordering,
     run_pipeline,
     run_pipeline_detailed,
 )
-from hgcut.hgraph import _roots
 from hgcut.reduce import (
     RULE_ORDER,
-    _contract,
     _reduce_rounds,
     _solve_residual,
     initial_state,
@@ -30,10 +28,9 @@ from hgcut.reduce import (
     rule_heavy_overlap,
     rule_imbalanced_triangle,
     rule_imbalanced_vertex,
-    rule_nested_substructure,
-    rule_singleton,
     update_upper_bound,
 )
+from hgcut.synth import GenSpec, random_hypergraph
 from conftest import (
     ExpiresOnCheck, equality_case_instance, loose_imbalanced_vertex, random_instance,
     two_cycle_union, unit_cycle,
@@ -42,6 +39,23 @@ from conftest import (
 
 def make_state(h, **config):
     return initial_state(h, PipelineConfig(**config))
+
+
+def unit_clique(n):
+    return Hypergraph(n, [[u, v] for u in range(n) for v in range(u + 1, n)])
+
+
+def check_expired_deadline(h, rule):
+    """An expired deadline stops ``rule`` inside its scan, before it changes
+    anything."""
+    state = make_state(h)
+    bound = state.upper_bound
+    state.deadline = Deadline(0)
+    with pytest.raises(SolveTimeout):
+        rule(state)
+    assert state.current is h
+    assert state.upper_bound == bound
+    assert state.round_stats == []
 
 
 def check_exact(h, state):
@@ -75,26 +89,6 @@ class TestUpperBound:
         res = run_pipeline(h, PipelineConfig(want_partition=True))
         assert res.value == 0
         assert res.provenance == "trivial-degree"
-
-
-class TestRuleSingleton:
-    def test_removes_single_pin(self):
-        h = Hypergraph(2, [[0], [0, 1]], [9, 1])
-        state = make_state(h)
-        assert rule_singleton(state)
-        assert list(state.current.edges()) == [((0, 1), 1)]
-
-    def test_removes_zero_weight(self):
-        h = Hypergraph(2, [[0, 1], [0, 1]], [0, 2])
-        state = make_state(h)
-        assert rule_singleton(state)
-        assert list(state.current.edges()) == [((0, 1), 2)]
-
-    def test_fixed_point(self):
-        h = Hypergraph(2, [[0, 1]], [2])
-        state = make_state(h)
-        assert not rule_singleton(state)
-        assert state.current is h
 
 
 class TestRuleHeavyEdge:
@@ -143,8 +137,7 @@ class TestRuleHeavyOverlap:
 
     def test_nothing_left_after_parallel_merge(self):
         h = Hypergraph(2, [[0, 1], [0, 1]], [1, 1])
-        state = make_state(h)
-        rule_singleton(state)
+        state = make_state(compact(h))
         rule_heavy_edge(state)
         assert state.current.vertex_count == 1
         assert not rule_heavy_overlap(state)
@@ -161,217 +154,8 @@ class TestRuleHeavyOverlap:
         k = 2000
         edges = [list(range(k))] + [[i, (i + 1) % k] for i in range(k)]
         h = Hypergraph(k, edges, [1] + [3] * k)
-        state = make_state(h)
-        assert state.upper_bound == 7
-        state.deadline = Deadline(0)
-        with pytest.raises(SolveTimeout):
-            rule_heavy_overlap(state)
-        assert state.current is h
-
-
-class TestRuleNestedSubstructure:
-    def test_contracts_enclosed_pair(self):
-        h = Hypergraph(4, [[0, 1, 2, 3], [1, 2]])
-        state = make_state(h)
-        assert rule_nested_substructure(state)
-        assert state.current.vertex_count == 3
-        check_exact(h, state)
-
-    def test_escape_edge_taints(self):
-        h = Hypergraph(5, [[0, 1, 2, 3], [1, 2], [2, 4]])
-        state = make_state(h)
-        assert not rule_nested_substructure(state)
-        assert state.current is h
-
-    def test_superset_edge_does_not_taint(self):
-        h = Hypergraph(5, [[0, 1, 2, 3], [0, 1, 2, 3, 4], [1, 2]])
-        state = make_state(h)
-        assert rule_nested_substructure(state)
-        assert state.current.vertex_count == 4
-        check_exact(h, state)
-
-    def test_two_components_in_one_parent_only_untainted_merges(self):
-        # inside parent {1..6}: components {1, 2, 3} and {5, 6}; the edge
-        # {6, 7} leaves the parent, so {5, 6} stays apart
-        h = Hypergraph(
-            8,
-            [[1, 2, 3, 4, 5, 6], [1, 2], [2, 3], [5, 6], [6, 7], list(range(8))],
-            [1, 2, 2, 2, 1, 1],
-        )
-        state = make_state(h, want_partition=True)
-        assert rule_nested_substructure(state)
-        assert state.current.vertex_count == 6
-        merged = [state.log.members_of_current(c) for c in range(6)]
-        assert [m for m in merged if len(m) > 1] == [(1, 2, 3)]
-        check_exact(h, state)
-
-
-def nested_reference(state):
-    """The nested-substructure rule in its all-candidates form, the
-    reference of the differential tests: gather every edge incident to each
-    parent's pins, then split them into strict subsets, supersets and
-    escaping edges."""
-    h = state.current
-    m = h.edge_count
-    pin_sets = [None] * m
-
-    def pset(eid):
-        if pin_sets[eid] is None:
-            pin_sets[eid] = set(h.pins(eid))
-        return pin_sets[eid]
-
-    links = []
-    used = bytearray(h.vertex_count)
-    for parent in range(m):
-        pins = h.pins(parent)
-        if len(pins) < 3:
-            continue
-        parent_set = pset(parent)
-        candidates = set()
-        for v in pins:
-            candidates.update(h.incident(v))
-        candidates.discard(parent)
-        subs = []
-        tainted = set()
-        for eid in candidates:
-            es = pset(eid)
-            if len(es) < len(parent_set) and es <= parent_set:
-                subs.append(eid)
-            elif not parent_set <= es:
-                tainted.update(es & parent_set)
-        if not subs:
-            continue
-        pos = {v: i for i, v in enumerate(pins)}
-        roots = _roots(len(pins), [[pos[v] for v in h.pins(eid)] for eid in subs])
-        comps = {}
-        for i, r in enumerate(roots):
-            if r != i:
-                comps.setdefault(r, [pins[r]]).append(pins[i])
-        for r in sorted(comps):
-            comp = comps[r]
-            if len(comp) >= len(pins) or any(v in tainted for v in comp) or any(used[v] for v in comp):
-                continue
-            for v in comp:
-                used[v] = 1
-            links.append(comp)
-    return _contract(state, links)
-
-
-def nested_outcome(h, rule):
-    """What a rule did to ``h``: the contracted hypergraph and the input
-    vertices behind every current vertex."""
-    state = make_state(h, want_partition=True)
-    changed = rule(state)
-    cur = state.current
-    blocks = [state.log.expand_block([v]) for v in range(cur.vertex_count)]
-    return changed, repr(cur), list(cur.edges()), blocks
-
-
-@st.composite
-def nested_inputs(draw):
-    """Uncompacted inputs, n <= 12: random edges, strict and equal subsets
-    of earlier edges, parallel copies, one-pin and zero-weight edges."""
-    n = draw(st.integers(2, 12))
-    vertex = st.integers(0, n - 1)
-    edges = []
-    for _ in range(draw(st.integers(1, 3 * n))):
-        kind = draw(st.sampled_from(["random", "subset", "copy", "one-pin"]))
-        if kind == "one-pin":
-            e = [draw(vertex)]
-        elif kind == "random" or not edges:
-            e = draw(st.lists(vertex, min_size=2, max_size=n, unique=True))
-        elif kind == "subset":
-            base = draw(st.sampled_from(edges))
-            e = draw(st.lists(st.sampled_from(base), min_size=1, max_size=len(base), unique=True))
-        else:
-            e = list(draw(st.sampled_from(edges)))
-        edges.append(e)
-    weights = draw(st.lists(st.integers(0, 3), min_size=len(edges), max_size=len(edges)))
-    return Hypergraph(n, edges, weights)
-
-
-def zipf_hub_instance(m, seed=0):
-    """``m`` edges of 2..12 pins drawn with Zipf-1.0 popularity over ``m // 2``
-    vertices (vertex 0 the largest hub).  Every 16th edge also gets two new
-    vertices a, b and a subset edge: {a, b}, which nests, or, every 32nd,
-    {hub pin, a}, which the hub's other edges taint."""
-    rng = random.Random(seed)
-    hubs = range(m // 2)
-    cum, total = [], 0.0
-    for rank in range(1, len(hubs) + 1):
-        total += 1.0 / rank
-        cum.append(total)
-    n = len(hubs)
-    edges = []
-    for i in range(m):
-        k = 2
-        while k < 12 and rng.random() < 0.6:
-            k += 1
-        e = sorted(set(rng.choices(hubs, cum_weights=cum, k=k)))
-        if i % 16 == 0:
-            a, b = n, n + 1
-            n += 2
-            edges.append([a, b] if i % 32 else [e[0], a])
-            e += [a, b]
-        edges.append(e)
-    return Hypergraph(n, edges, [rng.randint(0, 9) for _ in edges])
-
-
-class TestNestedSubsetSearch:
-    """The subset-side search against the all-candidates reference."""
-
-    @settings(
-        max_examples=400,
-        deadline=None,
-        derandomize=True,
-        database=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(nested_inputs())
-    def test_matches_reference(self, h):
-        assert nested_outcome(h, rule_nested_substructure) == nested_outcome(h, nested_reference)
-
-    def test_hub_pin_tainted_by_last_incident_edge(self):
-        # component {0, 1, 2} inside parent {0, 1, 2, 3}; hub 0's other
-        # edges are subsets or supersets except {0, 6}, the last on its list
-        edges = [[0, 1, 2, 3], [0, 1], [0, 2], [0, 1, 2, 3, 4], [0, 1, 2, 3, 5], [0, 6]]
-        h = Hypergraph(7, edges)
-        assert h.incident(0)[-1] == 5
-        assert nested_outcome(h, rule_nested_substructure) == nested_outcome(h, nested_reference)
-        state = make_state(h)
-        assert not rule_nested_substructure(state)
-        assert state.current is h
-
-        h = Hypergraph(7, edges[:-1])
-        state = make_state(h, want_partition=True)
-        assert rule_nested_substructure(state)
-        assert state.current.vertex_count == 5
-        assert state.log.members_of_current(0) == (0, 1, 2)
-        check_exact(h, state)
-
-    def test_expired_deadline_leaves_state_untouched(self):
-        h = zipf_hub_instance(2000)
-        state = make_state(h)
-        state.deadline = Deadline(0)
-        with pytest.raises(SolveTimeout):
-            rule_nested_substructure(state)
-        assert state.current is h
-        assert state.round_stats == []
-
-    def test_hub_instance_matches_reference(self):
-        h = zipf_hub_instance(2000)
-        got = nested_outcome(h, rule_nested_substructure)
-        assert got[0]
-        assert got == nested_outcome(h, nested_reference)
-
-    def test_hub_instance_scales(self):
-        # about 0.2 s of CPU on a 2-core x86 box, where the all-candidates
-        # scan of nested_reference takes about 6 s
-        h = zipf_hub_instance(8000)
-        state = make_state(h)
-        start = time.perf_counter()
-        assert rule_nested_substructure(state)
-        assert time.perf_counter() - start < 2.0
+        assert make_state(h).upper_bound == 7
+        check_expired_deadline(h, rule_heavy_overlap)
 
 
 class TestRuleImbalancedVertex:
@@ -391,6 +175,16 @@ class TestRuleImbalancedVertex:
         h = Hypergraph(3, [[0, 1, 2]], [10])
         state = make_state(h)
         assert not rule_imbalanced_vertex(state)
+
+    def test_parallel_two_pin_edges_are_tested_as_one(self):
+        # neither copy of {0, 1} outweighs half of a degree of 7; together
+        # they do
+        h = Hypergraph(3, [[0, 1], [0, 1], [1, 2], [0, 2]], [2, 2, 3, 3])
+        state = make_state(h)
+        assert state.upper_bound == 6
+        assert rule_imbalanced_vertex(state)
+        assert state.current.vertex_count == 2
+        check_exact(h, state)
 
 
 class TestRuleImbalancedTriangle:
@@ -432,6 +226,10 @@ class TestRuleImbalancedTriangle:
         check_exact(h, state)
         assert run_pipeline(h).value == 31
 
+    def test_expired_deadline_inside_the_pair_scan(self):
+        # no pair of a unit 100-clique qualifies; each scans 99 neighbours
+        check_expired_deadline(unit_clique(100), rule_imbalanced_triangle)
+
 
 class TestRuleHeavyNeighborhood:
     def test_common_neighbor_reaches_bound(self):
@@ -453,6 +251,10 @@ class TestRuleHeavyNeighborhood:
         assert state.upper_bound == 2
         assert rule_heavy_neighborhood(state)
         check_exact(h, state)
+
+    def test_expired_deadline_inside_the_pair_scan(self):
+        # every unmarked pair of a unit 100-clique qualifies
+        check_expired_deadline(unit_clique(100), rule_heavy_neighborhood)
 
 
 class TestPipeline:
@@ -659,6 +461,28 @@ class TestPerRuleExactness:
                     edges, pins = state.current.edge_count, state.current.pin_count
 
 
+def test_every_rule_earns_its_round():
+    """Every rule in ``RULE_ORDER`` contracts a vertex somewhere in the
+    reduction of 150 seeded random hypergraphs: 8-200 vertices, edges of 2
+    to 2..8 pins, weights 1, 1..10 or 1..1000."""
+    fired = set()
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(8, 200)
+        spec = GenSpec(
+            n,
+            rng.randint(n, 3 * n),
+            size_range=(2, rng.randint(2, 8)),
+            weight_range=((1, 1), (1, 10), (1, 1000))[seed % 3],
+            seed=seed,
+            ensure_connected=True,
+        )
+        state = make_state(random_hypergraph(spec))
+        _reduce_rounds(state)
+        fired.update(s.rule for s in state.round_stats if s.contractions)
+    assert [name for name, _ in RULE_ORDER if name not in fired] == []
+
+
 @st.composite
 def small_hypergraphs(draw):
     """Connected, n <= 14, edges of 2..6 pins, weights 1..w for w up to 1000."""
@@ -672,18 +496,44 @@ def small_hypergraphs(draw):
     return h
 
 
+@st.composite
+def hierarchical_nets(draw):
+    """Cells in 2-4 macros, n <= 14: a net over each macro, nets over strict
+    subsets of a macro inside it, and port nets from one macro to the next
+    or between random cells; weights 1..w for w up to 1000."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+    ids = draw(st.permutations(range(sum(sizes))))
+    weight = st.integers(1, draw(st.sampled_from([2, 10, 100, 1000])))
+    macros, start = [], 0
+    for k in sizes:
+        macros.append(ids[start:start + k])
+        start += k
+    edges = []
+    for cells in macros:
+        edges.append(cells)
+        if len(cells) > 2:
+            inner = st.lists(st.sampled_from(cells), min_size=2, max_size=len(cells) - 1, unique=True)
+            edges += draw(st.lists(inner, max_size=3))
+    for a, b in zip(macros, macros[1:]):
+        edges.append([draw(st.sampled_from(a)), draw(st.sampled_from(b))])
+    cell = st.sampled_from(ids)
+    edges += draw(st.lists(st.lists(cell, min_size=2, max_size=3, unique=True), max_size=2))
+    return Hypergraph(len(ids), edges, [draw(weight) for _ in edges])
+
+
 class TestComposition:
     """The contract after every rule application inside real multi-round
-    pipeline runs, on the intermediate instances the rules actually meet."""
+    pipeline runs, on the intermediate instances the rules actually meet,
+    random and hierarchical."""
 
     @settings(
-        max_examples=400,
+        max_examples=600,
         deadline=None,
         derandomize=True,
         database=None,
         suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
     )
-    @given(small_hypergraphs())
+    @given(st.one_of(small_hypergraphs(), hierarchical_nets()))
     @example(
         Hypergraph(
             4,
