@@ -91,6 +91,29 @@ class TestUpperBound:
         assert res.provenance == "trivial-degree"
 
 
+class TestRuleSingleton:
+    """No rule removes one-pin or zero-weight edges; ``_solve_residual``
+    compacts the residual before the solver sees it."""
+
+    def test_removes_single_pin(self):
+        h = Hypergraph(2, [[0], [0, 1]], [9, 1])
+        state = make_state(h)
+        assert _solve_residual(state).value == 1
+        assert list(state.current.edges()) == [((0, 1), 1)]
+
+    def test_removes_zero_weight(self):
+        h = Hypergraph(2, [[0, 1], [0, 1]], [0, 2])
+        state = make_state(h)
+        assert _solve_residual(state).value == 2
+        assert list(state.current.edges()) == [((0, 1), 2)]
+
+    def test_fixed_point(self):
+        h = Hypergraph(2, [[0, 1]], [2])
+        state = make_state(h)
+        assert _solve_residual(state).value == 2
+        assert state.current is h
+
+
 class TestRuleHeavyEdge:
     def test_cascades_through_parallel_merges(self):
         h = Hypergraph(3, [[0, 1], [1, 2], [0, 2]], [3, 1, 1])
