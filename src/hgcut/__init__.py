@@ -35,8 +35,8 @@ _LAZY = {
     ),
     **dict.fromkeys(
         (
-            "BackwardLists", "HeadOrdering", "backward_lists", "compute_head_ordering",
-            "construct_certificate", "trimmer_mincut",
+            "HeadOrdering", "backward_lists", "compute_head_ordering", "construct_certificate",
+            "trimmer_mincut",
         ),
         "trimmer",
     ),

@@ -17,11 +17,14 @@ class SolveTimeout(Exception):
 
     ``best`` is the solver's best cut so far, a ``CutResult`` of its input
     that re-scores to its value, or None when it has none to offer.
+    ``state`` is the ``PipelineState`` of a pipeline run that timed out,
+    None for the other solvers.
     """
 
     def __init__(self, best=None) -> None:
         super().__init__("time limit exceeded")
         self.best = best
+        self.state = None
 
 
 class Deadline:

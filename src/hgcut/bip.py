@@ -2,9 +2,12 @@
 
 The model has one binary variable per vertex (block membership) and one
 per hyperedge (cut indicator); the objective is the total weight of cut
-hyperedges.  Two rows keep both blocks non-empty, and per-edge indicator
-rows force the edge variable up whenever two of its pins land in
-different blocks.
+hyperedges.  Two rows keep both blocks non-empty.  Each hyperedge ``e``
+compares its other pins with its first pin ``r``: for each other pin
+``u``, ``y_e >= x_u - x_r`` and ``y_e >= x_r - x_u``, so ``2(|e| - 1)``
+rows in all.  With integral ``x`` some pin differs from ``r`` exactly
+when two pins land in different blocks, so the rows force ``y_e`` up
+exactly when ``e`` is cut.
 
 The pure LP relaxation of this model is degenerate: spreading 1/n over
 every vertex variable satisfies all rows with every indicator at zero, so
@@ -49,7 +52,6 @@ class BipModel:
     """Objective and constraint rows over n vertex + m edge binaries."""
 
     hypergraph: Hypergraph
-    mode: str
     objective: tuple  # length n + m; weight on edge variables only
     rows: tuple  # (terms, sense, rhs) with terms ((var, coef), ...), sense '<=' or '>='
 
@@ -66,13 +68,12 @@ class BipModel:
         return f"x_v{j}" if j < n else f"y_e{j - n}"
 
 
-def build_model(h: Hypergraph, mode: str = "pairwise") -> BipModel:
-    """Build the cut model; indicator rows cover ordered pin pairs, or two
-    rows per non-representative pin in ``representative`` mode."""
+def build_model(h: Hypergraph) -> BipModel:
+    """Build the cut model: two balance rows, then two indicator rows for
+    each pin of a hyperedge other than its first, so ``2(|e| - 1)`` per
+    hyperedge ``e`` with a pin."""
     if h.vertex_count < 2:
         raise ValueError("model needs at least two vertices")
-    if mode not in ("pairwise", "representative"):
-        raise ValueError(f"unknown constraint mode: {mode!r}")
     n, m = h.vertex_count, h.edge_count
 
     objective = [0] * n + [h.weight(e) for e in range(m)]
@@ -84,17 +85,10 @@ def build_model(h: Hypergraph, mode: str = "pairwise") -> BipModel:
     for eid in range(m):
         pins = h.pins(eid)
         ye = n + eid
-        if mode == "pairwise":
-            for u in pins:
-                for v in pins:
-                    if u != v:
-                        rows.append((((ye, 1), (u, -1), (v, 1)), ">=", 0))
-        else:
-            rep = pins[0]
-            for u in pins[1:]:
-                rows.append((((ye, 1), (u, -1), (rep, 1)), ">=", 0))
-                rows.append((((ye, 1), (rep, -1), (u, 1)), ">=", 0))
-    return BipModel(hypergraph=h, mode=mode, objective=tuple(objective), rows=tuple(rows))
+        for u in pins[1:]:
+            rows.append((((ye, 1), (u, -1), (pins[0], 1)), ">=", 0))
+            rows.append((((ye, 1), (pins[0], -1), (u, 1)), ">=", 0))
+    return BipModel(hypergraph=h, objective=tuple(objective), rows=tuple(rows))
 
 
 def _coef_str(value: Weight) -> str:

@@ -74,25 +74,10 @@ def _write_partition(path, value, block) -> None:
         fh.write(json.dumps({"value": value, "block": sorted(block)}) + "\n")
 
 
-def _write_round_stats(path, round_stats) -> None:
-    """One JSON line per rule application, for remaining-edges reports."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in round_stats:
-            fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
-
-
 def cmd_solve(args) -> int:
     started = time.perf_counter()
     algo = args.algo
-    if algo == "heicut" and args.use_lp:
-        algo = "heicut-lp"
-    config = {
-        "algo": algo,
-        "solver": args.solver,
-        "seed": args.seed,
-        "time_limit": args.time_limit,
-        "mode": args.mode,
-    }
+    config = {"algo": algo, "solver": args.solver, "seed": args.seed, "time_limit": args.time_limit}
 
     def fail(reason: str) -> int:
         _emit(_record(args.instance, algo, args.seed, config, started, FAILED, reason=reason))
@@ -104,12 +89,11 @@ def cmd_solve(args) -> int:
         return fail(str(exc))
 
     want_partition = args.partition_out is not None
-    pipeline_algo = algo in ("heicut", "heicut-lp")
-    round_stats = stop_reason = residual = None
+    status, state = OK, None
     peak = storage_nbytes(h)
 
     try:
-        if pipeline_algo:
+        if algo in ("heicut", "heicut-lp"):
             pipeline = PipelineConfig(
                 use_lp=(algo == "heicut-lp"),
                 seed=args.seed,
@@ -118,10 +102,6 @@ def cmd_solve(args) -> int:
                 time_limit=args.time_limit,
             )
             res, state = run_pipeline_detailed(h, pipeline)
-            round_stats = [dict(vars(s)) for s in state.round_stats]
-            stop_reason = state.stop_reason
-            residual = dict(vars(state.residual)) if state.residual is not None else None
-            peak = state.peak_bytes
         elif algo == "trimmer":
             from .trimmer import trimmer_mincut
 
@@ -130,7 +110,7 @@ def cmd_solve(args) -> int:
         elif algo == "bip":
             from .bip import build_model, solve_relaxed, tableau_bytes
 
-            model = build_model(h, mode=args.mode)
+            model = build_model(h)
             peak = storage_nbytes(h) + tableau_bytes(model)
             res = solve_relaxed(model, Deadline(args.time_limit))
         elif algo == "exact":
@@ -148,28 +128,26 @@ def cmd_solve(args) -> int:
     except SolveTimeout as exc:
         if exc.best is None:
             return fail("time limit exceeded before any solution was found")
-        if want_partition and exc.best.partition is not None:
-            _write_partition(args.partition_out, exc.best.value, exc.best.partition)
-        _emit(
-            _record(
-                args.instance, algo, args.seed, config, started, TIMEOUT,
-                value=exc.best.value, peak_memory_bytes=peak, round_stats=round_stats,
-                stop_reason="timeout" if pipeline_algo else None,
-            )
-        )
-        return 0
+        # a pipeline timeout carries the run state up to that point
+        res, state, status = exc.best, exc.state, TIMEOUT
     except (ValueError, ArithmeticError) as exc:
         return fail(str(exc))
 
-    value, block = res.value, res.partition
-    if want_partition and block is not None:
-        _write_partition(args.partition_out, value, block)
-    if args.stats_out and round_stats is not None:
-        _write_round_stats(args.stats_out, round_stats)
+    round_stats = stop_reason = residual = None
+    if state is not None:
+        peak = state.peak_bytes
+        round_stats = [dict(vars(s)) for s in state.round_stats]
+        if status == TIMEOUT:
+            stop_reason = "timeout"
+        else:
+            stop_reason = state.stop_reason
+            residual = dict(vars(state.residual)) if state.residual is not None else None
+    if want_partition and res.partition is not None:
+        _write_partition(args.partition_out, res.value, res.partition)
     _emit(
         _record(
-            args.instance, algo, args.seed, config, started, OK,
-            value=value, peak_memory_bytes=peak, round_stats=round_stats,
+            args.instance, algo, args.seed, config, started, status,
+            value=res.value, peak_memory_bytes=peak, round_stats=round_stats,
             stop_reason=stop_reason, residual=residual,
         )
     )
@@ -387,14 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one instance, print a JSON run record")
     solve.add_argument("instance", help="hMetis-format hypergraph file")
     solve.add_argument("--algo", choices=ALGORITHMS, default="heicut")
-    solve.add_argument("--use-lp", action="store_true", help="enable label-propagation contraction")
     solve.add_argument("--solver", choices=("exact", "bip"), default="exact", help="residual solver")
-    solve.add_argument("--mode", choices=("pairwise", "representative"), default="pairwise")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--time-limit", type=float, default=None, help="seconds")
     solve.add_argument("--partition-out", default=None, help="write the cut partition as JSON")
-    solve.add_argument("--stats-out", default=None,
-                       help="write per-rule reduction statistics as JSON lines")
     solve.add_argument("--max-enumeration", type=int, default=DEFAULT_MAX_VERTICES)
     solve.set_defaults(func=cmd_solve)
 

@@ -509,7 +509,8 @@ def run_pipeline_detailed(
     config: Optional[PipelineConfig] = None,
 ) -> Tuple[CutResult, PipelineState]:
     """Reduce, then solve the residue; returns the result plus run state.
-    The input's connectivity is never checked (see the module notes)."""
+    A ``SolveTimeout`` leaves with the state in its ``state``.  The input's
+    connectivity is never checked (see the module notes)."""
     if h.vertex_count < 2:
         raise ValueError("minimum cut needs at least two vertices")
     state = initial_state(h, config)
@@ -517,9 +518,13 @@ def run_pipeline_detailed(
         state.stop_reason = "zero-bound"
         return _result(state, PROVENANCE_TRIVIAL, 0), state
 
-    result = _reduce_rounds(state)
-    if result is None:
-        result = _solve_residual(state)
+    try:
+        result = _reduce_rounds(state)
+        if result is None:
+            result = _solve_residual(state)
+    except SolveTimeout as exc:
+        exc.state = state
+        raise
     return result, state
 
 

@@ -103,18 +103,13 @@ def randomize_weights(h: Hypergraph, lo: int, hi: int, seed: int = 0) -> Hypergr
     )
 
 
-def k2_core(
-    h: Hypergraph,
-    k: int,
-    return_vertex_map: bool = False,
-):
+def k2_core(h: Hypergraph, k: int) -> Hypergraph:
     """Peel to the fixed point of: drop vertices with degree < k, then drop
     hyperedges with fewer than two remaining pins.
 
     Degree counts incident surviving hyperedges, ignoring weights.  The
     result is a sub-hypergraph (surviving pins/edges are subsets of the
-    input's); it may be empty.  With ``return_vertex_map`` the surviving
-    original vertex ids are returned alongside, in relabelled order.
+    input's), with the survivors relabelled in id order; it may be empty.
     """
     if k < 2:
         raise ValueError("core order k must be at least 2")
@@ -158,16 +153,13 @@ def k2_core(
         if edge_alive[e]:
             pins_lists.append(tuple(sorted(relabel[v] for v in pin_sets[e])))
             weights.append(h.weight(e))
-    core = Hypergraph(
+    return Hypergraph(
         len(keep),
         pins_lists,
         weights,
         [h.vertex_weight(v) for v in keep],
         _normalized=True,
     )
-    if return_vertex_map:
-        return core, tuple(keep)
-    return core
 
 
 def find_benchmark_core(h: Hypergraph) -> Optional[Tuple[int, Hypergraph]]:

@@ -29,7 +29,6 @@ from .osolve import _Incidence, mincut_ordering
 
 __all__ = [
     "HeadOrdering",
-    "BackwardLists",
     "compute_head_ordering",
     "backward_lists",
     "construct_certificate",
@@ -42,11 +41,6 @@ class HeadOrdering:
     ma_order: tuple  # permutation of vertex ids
     head: tuple  # per edge: its first pin in ma_order
     edge_order: tuple  # edge ids sorted by (head position, original index)
-
-
-@dataclass(frozen=True)
-class BackwardLists:
-    lists: tuple  # per vertex: edge ids containing it with a different head
 
 
 def _require_unweighted(h: Hypergraph) -> None:
@@ -75,21 +69,21 @@ def compute_head_ordering(h: Hypergraph, seed: int = 0) -> HeadOrdering:
     return HeadOrdering(ma_order=tuple(order), head=head, edge_order=edge_order)
 
 
-def backward_lists(h: Hypergraph, ordering: HeadOrdering) -> BackwardLists:
-    """Per vertex, its non-head edges in head order."""
+def backward_lists(h: Hypergraph, ordering: HeadOrdering) -> tuple:
+    """Per vertex, the tuple of its non-head edges in head order."""
     lists: List[list] = [[] for _ in range(h.vertex_count)]
     for eid in ordering.edge_order:
         head = ordering.head[eid]
         for v in h.pins(eid):
             if v != head:
                 lists[v].append(eid)
-    return BackwardLists(lists=tuple(tuple(l) for l in lists))
+    return tuple(tuple(l) for l in lists)
 
 
 def construct_certificate(
     h: Hypergraph,
     ordering: HeadOrdering,
-    backward: BackwardLists,
+    backward: tuple,
     k: int,
 ) -> Hypergraph:
     """Sub-hypergraph keeping each vertex's first k backward edges.
@@ -100,7 +94,7 @@ def construct_certificate(
     if k < 1:
         raise ValueError("k must be at least 1")
     keep = set()
-    for lst in backward.lists:
+    for lst in backward:
         keep.update(lst[:k])
     kept = sorted(keep)
     return Hypergraph(

@@ -1,12 +1,18 @@
+import argparse
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from hgcut import Hypergraph, cut_value, load_hypergraph, save_hypergraph
 from hgcut.hgraph import storage_nbytes
-from hgcut.cli import main, profile_fractions
-from conftest import RUN_RECORD_SCHEMA, profile_fixture_records, two_cycle_union, unit_cycle
+from hgcut.cli import build_parser, main, profile_fractions
+from conftest import (
+    RUN_RECORD_SCHEMA, ExpiresOnCheck, profile_fixture_records, two_cycle_union, unit_cycle,
+)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -122,6 +128,21 @@ class TestSolve:
         certificate = json.loads(out.read_text())
         assert certificate["value"] == 2 == cut_value(h, certificate["block"])
 
+    def test_pipeline_timeout_keeps_its_state(self, capsys, tmp_path, monkeypatch):
+        # reduction makes six deadline checks on a cycle; the tenth lands
+        # inside the binary program's root LP
+        path = tmp_path / "cycle.hgr"
+        save_hypergraph(unit_cycle(60), path)
+        argv = ["solve", str(path), "--solver", "bip"]
+        _, finished = run_record(capsys, argv)
+        assert len(finished["round_stats"]) == 5
+        monkeypatch.setattr("hgcut.reduce.Deadline", lambda seconds: ExpiresOnCheck(10))
+        code, record = run_record(capsys, argv)
+        assert (code, record["status"], record["value"]) == (0, "timeout-with-incumbent", 2)
+        assert (record["stop_reason"], record["residual"]) == ("timeout", None)
+        assert record["round_stats"] == finished["round_stats"]
+        assert record["peak_memory_bytes"] == finished["peak_memory_bytes"]
+
     def test_missing_file_fails(self, capsys, tmp_path):
         code, record = run_record(capsys, ["solve", str(tmp_path / "nope.hgr")])
         assert code == 1
@@ -137,21 +158,22 @@ class TestSolve:
         assert payload["value"] == 2
         assert 1 <= len(payload["block"]) <= 2
 
-    def test_stats_out_jsonl(self, capsys, tri_file, tmp_path):
-        out = tmp_path / "stats.jsonl"
-        code, record = run_record(
-            capsys, ["solve", tri_file, "--algo", "heicut", "--stats-out", str(out)]
-        )
-        assert code == 0
-        lines = [json.loads(l) for l in out.read_text().strip().splitlines()]
-        assert lines == record["round_stats"]
-        assert {"round", "rule", "edges_before", "edges_after", "upper_bound"} <= set(lines[0])
-
     def test_config_echo_reproducibility(self, capsys, tri_file):
         _, first = run_record(capsys, ["solve", tri_file, "--seed", "11"])
         _, second = run_record(capsys, ["solve", tri_file, "--seed", "11"])
         assert first["config"] == second["config"]
         assert first["value"] == second["value"]
+
+
+def test_readme_names_every_solve_option():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = [
+        s for a in commands.choices["solve"]._actions for s in a.option_strings
+        if s.startswith("--") and s != "--help"
+    ]
+    text = README.read_text(encoding="utf-8")
+    assert [o for o in options if f"`{o}" not in text] == []
 
 
 class TestProfile:

@@ -14,6 +14,21 @@ from hgcut import (
 )
 
 
+def core_with_vertex_map(h, k):
+    """``k2_core`` of ``h`` and the input vertex behind each core vertex.
+    The input is relabelled with vertex ``v`` weighing ``v + 1``: peeling
+    ignores vertex weights and the core keeps the survivors' weights in id
+    order, so the weights name the survivors."""
+    named = Hypergraph(
+        h.vertex_count,
+        [h.pins(e) for e in range(h.edge_count)],
+        [h.weight(e) for e in range(h.edge_count)],
+        [v + 1 for v in range(h.vertex_count)],
+    )
+    core = k2_core(named, k)
+    return core, tuple(core.vertex_weight(v) - 1 for v in range(core.vertex_count))
+
+
 class TestRandomHypergraph:
     def test_deterministic(self):
         spec = GenSpec(vertex_count=6, edge_count=8, size_range=(2, 4), seed=7)
@@ -114,7 +129,7 @@ class TestCore:
             h = random_hypergraph(
                 GenSpec(vertex_count=10, edge_count=14, size_range=(2, 4), seed=seed)
             )
-            core, keep = k2_core(h, 2, return_vertex_map=True)
+            core, keep = core_with_vertex_map(h, 2)
             back = {i: v for i, v in enumerate(keep)}
             got_edges = {
                 frozenset(back[v] for v in core.pins(e)) for e in range(core.edge_count)
@@ -129,7 +144,7 @@ class TestCore:
             h = random_hypergraph(
                 GenSpec(vertex_count=10, edge_count=14, size_range=(2, 4), seed=seed)
             )
-            core, keep = k2_core(h, 2, return_vertex_map=True)
+            core, keep = core_with_vertex_map(h, 2)
             originals = [frozenset(h.pins(e)) for e in range(h.edge_count)]
             for e in range(core.edge_count):
                 mapped = frozenset(keep[v] for v in core.pins(e))

@@ -54,7 +54,7 @@ class TestHeadOrdering:
             h = random_instance(seed, unit=True)
             ordering = compute_head_ordering(h, seed=seed)
             backward = backward_lists(h, ordering)
-            appearances = sum(len(lst) for lst in backward.lists)
+            appearances = sum(len(lst) for lst in backward)
             assert appearances == sum(
                 len(h.pins(e)) - 1 for e in range(h.edge_count)
             )
