@@ -27,7 +27,7 @@ _LAZY = {
         ),
         "hgraph",
     ),
-    **dict.fromkeys(("contract_clusters", "propagate_once", "score"), "lpcluster"),
+    **dict.fromkeys(("propagate_once", "score"), "lpcluster"),
     **dict.fromkeys(("MaOrdering", "ma_ordering", "mincut_ordering", "phase_cut_values"), "osolve"),
     **dict.fromkeys(("PipelineConfig", "PipelineState", "run_pipeline", "run_pipeline_detailed"), "reduce"),
     **dict.fromkeys(

@@ -11,7 +11,8 @@ Each command imports the modules it needs when it runs: the ``bip`` and
 Peak memory in run records is a deterministic estimate from an internal
 size counter (see ``hgraph.storage_nbytes``), not OS-level RSS; exit
 status is 0 exactly when a record reports ``ok`` or
-``timeout-with-incumbent``.
+``timeout-with-incumbent``.  A load or a solve that runs out of memory
+ends as a ``failed`` record with a reason, not a traceback.
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ def cmd_solve(args) -> int:
         h = load_hypergraph(args.instance)
     except (OSError, ValueError) as exc:
         return fail(str(exc))
+    except MemoryError:
+        return fail("out of memory while loading the instance")
 
     want_partition = args.partition_out is not None
     status, state = OK, None
@@ -132,6 +135,8 @@ def cmd_solve(args) -> int:
         res, state, status = exc.best, exc.state, TIMEOUT
     except (ValueError, ArithmeticError) as exc:
         return fail(str(exc))
+    except MemoryError:
+        return fail("out of memory while solving")
 
     round_stats = stop_reason = residual = None
     if state is not None:

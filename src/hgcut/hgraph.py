@@ -10,7 +10,7 @@ Weights may be ints or floats.  Integer weights are kept exact end to end
 (Python ints do not overflow), which is what makes equality checks against
 brute-force enumeration meaningful.
 
-Contraction is done by relabelling through a grouping and rebuilding the
+Contraction is done by relabelling through a closure and rebuilding the
 structure in one pass: merged vertices sum their weights, pins are
 deduplicated per edge, edges that fall below two pins (or have zero weight)
 are dropped, and edges with identical pin sets are merged by summing their
@@ -20,11 +20,12 @@ current vertex, so any bipartition of a reduced hypergraph expands back to
 the input vertex set with an identical cut value; the pipeline keeps one
 only when a partition is asked for.
 
-A reduction rule asks for a contraction by listing *links*: vertex tuples
-whose members must end in one vertex, which may overlap.  ``_roots``, the
-one union-find, closes the links; the closed classes become the groups of
-one ``contract_groups`` call, and ``connected_components`` is the same
-closure over the edge list.
+Every contraction is one ``contract_groups`` call on *links*: vertex
+tuples whose members must end in one vertex, which may overlap.
+``_roots``, the one union-find, closes them and numbers the classes
+densely in the order of each class's smallest vertex; those numbers are
+the relabelling.  ``connected_components`` is the same closure over the
+edge list.
 
 One hMetis parser reads the text once and validates every token once:
 each hyperedge line is split once, converted with one ``map(int, ...)``
@@ -293,58 +294,33 @@ class ContractionLog:
 
 def contract_groups(
     h: Hypergraph,
-    groups: Iterable[Iterable[int]],
+    links: Iterable[Sequence[int]],
     log: Optional[ContractionLog] = None,
 ) -> Hypergraph:
-    """Contract each group of vertices into a single vertex and compact.
+    """Contract each class of the closure of ``links`` into one vertex and
+    compact; ``h`` itself when no link joins two vertices.
 
-    Groups must be pairwise disjoint.  Merged vertices sum their weights;
-    the edge list is rebuilt with deduplicated pins, edges below two pins
-    or with zero weight are dropped, and parallel edges (identical pin
-    sets) are merged by summing weights.  Two-pin edges are relabelled
-    without a set or a sort; a single group holding every vertex gives the
-    one-vertex hypergraph without relabelling any edge.
+    Links may overlap (see :func:`_roots`); every vertex in them must be a
+    vertex of ``h``.  Merged vertices sum their weights; the edge list is
+    rebuilt with deduplicated pins, edges below two pins or with zero
+    weight are dropped, and parallel edges (identical pin sets) are merged
+    by summing weights.  Two-pin edges are relabelled without a set or a
+    sort; a closure holding every vertex in one class gives the one-vertex
+    hypergraph without relabelling any edge.
     """
     n = h.vertex_count
-    norm = []
-    for g in groups:
-        gs = sorted(set(g))
-        if len(gs) < 2:
-            continue
-        if gs[0] < 0 or gs[-1] >= n:
-            raise ValueError(f"vertex id out of range in contraction group: {gs}")
-        norm.append(gs)
-    if not norm:
+    relabel, new_n = _roots(n, links)
+    if new_n == n:
         return h
 
-    if len(norm) == 1 and len(norm[0]) == n:
-        # One group holds every vertex: no edge survives.
+    if new_n == 1:
+        # One class holds every vertex: no edge survives.
         total: Weight = 0
         for c in h._vweights:
             total += c
         if log is not None:
-            log.apply([0] * n, 1)
+            log.apply(relabel, 1)
         return Hypergraph(1, [], [], [total], _normalized=True)
-
-    rep = list(range(n))
-    used = bytearray(n)
-    for g in norm:
-        r = g[0]
-        for v in g:
-            if used[v]:
-                raise ValueError("contraction groups must be disjoint")
-            used[v] = 1
-            rep[v] = r
-
-    relabel = [-1] * n
-    nxt = 0
-    for v in range(n):
-        r = rep[v]
-        if relabel[r] < 0:
-            relabel[r] = nxt
-            nxt += 1
-        relabel[v] = relabel[r]
-    new_n = nxt
 
     new_c = [0] * new_n
     for r, c in zip(relabel, h._vweights):
@@ -424,15 +400,16 @@ def compact(h: Hypergraph) -> Hypergraph:
 # -- traversal and cut evaluation --------------------------------------------
 
 
-def _roots(n: int, links: Iterable[Sequence[int]]) -> list:
+def _roots(n: int, links: Iterable[Sequence[int]]) -> tuple:
     """Close the vertices ``0..n-1`` under ``links``: every link (a pin
     tuple, a pair or a list, possibly overlapping others) puts its members
-    in one class.  Returns each vertex's root, the smallest vertex of its
-    class.
+    in one class.  Returns ``(labels, count)``: each vertex's class label,
+    dense and numbered in the order of each class's smallest vertex, and
+    the number of classes.
 
     Union-find with path halving.  A link always keeps the smaller root,
     so every parent pointer points to a smaller id and one ascending pass
-    resolves each vertex to its root.
+    resolves each vertex to its root and numbers the roots.
     """
     parent = list(range(n))
     for link in links:
@@ -452,9 +429,15 @@ def _roots(n: int, links: Iterable[Sequence[int]]) -> list:
                 r = v
             elif v > r:
                 parent[v] = r
+    count = 0
     for v in range(n):
-        parent[v] = parent[parent[v]]
-    return parent
+        r = parent[v]  # v's parent; smaller entries already hold labels
+        if r == v:
+            parent[v] = count
+            count += 1
+        else:
+            parent[v] = parent[r]
+    return parent, count
 
 
 def connected_components(h: Hypergraph) -> list:
@@ -463,16 +446,7 @@ def connected_components(h: Hypergraph) -> list:
 
     The closure of the edge list, so no incidence index is needed.
     """
-    labels = _roots(h.vertex_count, h._pins)
-    comp = 0
-    for v in range(len(labels)):
-        r = labels[v]  # v's root; smaller entries already hold labels
-        if r == v:
-            labels[v] = comp
-            comp += 1
-        else:
-            labels[v] = labels[r]
-    return labels
+    return _roots(h.vertex_count, h._pins)[0]
 
 
 def cut_value(h: Hypergraph, block: Iterable[int]) -> Weight:

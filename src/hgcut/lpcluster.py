@@ -8,6 +8,11 @@ with the candidate cluster.  Ties are broken uniformly at random, with the
 vertex's own label always in the candidate set.  Contracting the resulting
 multi-vertex clusters shrinks the hypergraph quickly but is a heuristic:
 it can only raise the minimum cut, never lower it.
+
+This module only computes labels.  The pipeline contracts them
+(``reduce._lp_contract``): the clusters go as links through the same
+``contract_groups`` call as every rule's, and a pass that would leave a
+single vertex is refused.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
-from .hgraph import ContractionLog, Hypergraph, contract_groups
+from .hgraph import Hypergraph
 
-__all__ = ["score", "propagate_once", "contract_clusters"]
+__all__ = ["score", "propagate_once"]
 
 
 def score(v: int, label: int, h: Hypergraph, labels: Sequence[int]) -> float:
@@ -76,29 +81,3 @@ def propagate_once(
         lab[v] = tied[0] if len(tied) == 1 else rng.choice(tied)
 
     return tuple(lab)
-
-
-def contract_clusters(
-    h: Hypergraph,
-    labels: Sequence[int],
-    log: Optional[ContractionLog] = None,
-) -> Hypergraph:
-    """Contract every group of vertices sharing a label; refuses a total
-    collapse.
-
-    If contracting would leave a single vertex the input is returned
-    unchanged, so heuristic mode never erases every remaining cut.
-    """
-    n = h.vertex_count
-    if len(labels) != n:
-        raise ValueError("labels do not match hypergraph")
-    groups: dict = {}
-    for v, l in enumerate(labels):
-        groups.setdefault(l, []).append(v)
-    multi = [g for g in groups.values() if len(g) >= 2]
-    if not multi:
-        return h
-    resulting = n - sum(len(g) - 1 for g in multi)
-    if resulting < 2:
-        return h
-    return contract_groups(h, multi, log)

@@ -18,9 +18,12 @@ relaxation).
 
 A rule asks for a contraction by collecting *links*: vertex tuples whose
 members must end in one vertex (a heavy edge's pins or a pair), which may
-overlap.  It hands them all to ``_contract``, which closes them with
-``hgraph._roots`` and makes one ``contract_groups`` call.
-The driver, not the rule, records each call's effect in ``round_stats``.
+overlap.  It hands them all to ``_contract``, which makes one
+``contract_groups`` call; that call closes the links itself.  Label
+propagation contracts the same way: ``_lp_contract`` groups one pass's
+labels into clusters, refuses a pass that would leave a single vertex, and
+hands the clusters to ``_contract`` as links.  The driver, not the rule,
+records each call's effect in ``round_stats``.
 
 No pass checks the input's connectivity.  Every link lies inside one
 hyperedge or joins a pair that shares one, and label propagation spreads
@@ -41,7 +44,7 @@ An input that ``heavy-edge`` alone collapses costs one rebuild.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ._limits import Deadline, SolveTimeout
 from .hgraph import (
@@ -51,7 +54,6 @@ from .hgraph import (
     PROVENANCE_REDUCTION,
     PROVENANCE_TRIVIAL,
     Weight,
-    _roots,
     compact,
     connected_components,
     contract_groups,
@@ -188,19 +190,15 @@ def _note(state: PipelineState, rule: str, before: Hypergraph) -> None:
     )
 
 
-def _contract(state: PipelineState, links: Iterable[Sequence[int]]) -> bool:
-    """Contract each class of the closure of ``links`` into one vertex."""
-    by_root: dict = {}
-    for v, r in enumerate(_roots(state.current.vertex_count, links)):
-        if r != v:  # r < v, so r itself was passed over already
-            group = by_root.get(r)
-            if group is None:
-                by_root[r] = [r, v]
-            else:
-                group.append(v)
-    if not by_root:
+def _contract(state: PipelineState, links: Sequence[Sequence[int]]) -> bool:
+    """Contract each class of the closure of ``links`` into one vertex;
+    False when no link joins two vertices."""
+    if not links:
         return False
-    state.replace(contract_groups(state.current, by_root.values(), state.log))
+    h = contract_groups(state.current, links, state.log)
+    if h is state.current:
+        return False
+    state.replace(h)
     update_upper_bound(state)
     return True
 
@@ -221,7 +219,8 @@ def rule_heavy_edge(state: PipelineState) -> bool:
     while state.upper_bound > 0 and state.current.vertex_count > 1:
         _check_deadline(state)
         bound = state.upper_bound
-        if not _contract(state, [pins for pins, w in state.current.edges() if w >= bound]):
+        heavy = [pins for pins, w in state.current.edges() if w >= bound and len(pins) > 1]
+        if not _contract(state, heavy):
             break
         applied = True
     return applied
@@ -391,15 +390,17 @@ RULE_ORDER: Tuple[Tuple[str, Callable[[PipelineState], bool]], ...] = (
 
 
 def _lp_contract(state: PipelineState) -> bool:
-    from .lpcluster import contract_clusters, propagate_once
+    """Contract the clusters of one label-propagation pass; refuses to
+    leave one vertex, since the heuristic must never erase every cut."""
+    from .lpcluster import propagate_once
 
     seed = (state.config.seed * 1_000_003 + state.round_index * 101) & 0x7FFFFFFF
-    h = contract_clusters(state.current, propagate_once(state.current, seed=seed), state.log)
-    if h is state.current:
+    classes: dict = {}
+    for v, label in enumerate(propagate_once(state.current, seed=seed)):
+        classes.setdefault(label, []).append(v)
+    if len(classes) < 2:
         return False
-    state.replace(h)
-    update_upper_bound(state)
-    return True
+    return _contract(state, [c for c in classes.values() if len(c) > 1])
 
 
 def _result(state: PipelineState, provenance: str, value=None, side=None) -> CutResult:

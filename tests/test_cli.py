@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -163,6 +166,52 @@ class TestSolve:
         _, second = run_record(capsys, ["solve", tri_file, "--seed", "11"])
         assert first["config"] == second["config"]
         assert first["value"] == second["value"]
+
+
+def solve_capped(path, cap, *args):
+    """``hgcut solve`` in a child process that caps its own address space
+    at ``cap`` bytes; returns the exit code, the stdout lines and stderr."""
+    resource = pytest.importorskip("resource")
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+
+    def lower_own_limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-m", "hgcut.cli", "solve", str(path), *args],
+        preexec_fn=lower_own_limit, env=env, capture_output=True, text=True, timeout=60,
+    )
+    return out.returncode, out.stdout.splitlines(), out.stderr
+
+
+@pytest.mark.parametrize(
+    "text, args, cap, reason",
+    [
+        # the header's vertex count alone asks for 1.6 GB of vertex weights
+        ("1 200000000\n1 2\n", (), 1_500_000_000, "out of memory while loading the instance"),
+        # the dense model of a 3,000-vertex cycle does not fit in 300 MB
+        (
+            "3000 3000\n" + "".join(f"{i + 1} {(i + 1) % 3000 + 1}\n" for i in range(3000)),
+            ("--algo", "bip"),
+            300_000_000,
+            "out of memory while solving",
+        ),
+    ],
+    ids=["load", "solve"],
+)
+def test_out_of_memory_ends_as_a_failed_record(tmp_path, text, args, cap, reason):
+    path = tmp_path / "big.hgr"
+    path.write_text(text)
+    code, lines, stderr = solve_capped(path, cap, *args)
+    assert code == 1 and stderr == ""
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    jsonschema.validate(record, RUN_RECORD_SCHEMA)
+    assert (record["status"], record["reason"]) == ("failed", reason)
 
 
 def test_readme_names_every_solve_option():

@@ -91,10 +91,15 @@ class TestContract:
         hc = contract_set(h, {0, 2})
         assert sorted(hc.vertex_weights()) == [3, 6]
 
-    def test_groups_must_be_disjoint(self):
-        h = Hypergraph(3, [[0, 1, 2]])
-        with pytest.raises(ValueError, match="disjoint"):
-            contract_groups(h, [[0, 1], [1, 2]])
+    def test_overlapping_links_close(self):
+        h = Hypergraph(4, [[0, 1, 2], [2, 3], [0, 3]], [1, 2, 3], [1, 2, 3, 4])
+        log, ref_log = ContractionLog(4), ContractionLog(4)
+        hc = contract_groups(h, [[0, 1], [1, 2]], log)
+        assert hc == contract_groups(h, [[0, 1, 2]], ref_log)
+        assert hc.vertex_count == 2 and list(hc.edges()) == [((0, 1), 5)]
+        assert [log.members_of_current(v) for v in range(2)] == [
+            ref_log.members_of_current(v) for v in range(2)
+        ]
 
     def test_log_tracks_members(self):
         log = ContractionLog(4)

@@ -1,15 +1,16 @@
 from collections import Counter
 
+import hgcut.lpcluster
 from hgcut import (
     Hypergraph,
     PipelineConfig,
     brute_mincut,
-    contract_clusters,
     cut_value,
     propagate_once,
     run_pipeline,
     score,
 )
+from hgcut.reduce import _lp_contract, initial_state
 from conftest import random_instance
 
 
@@ -88,20 +89,35 @@ class TestPropagateOnce:
 
 
 class TestContractClusters:
-    def test_all_singletons_noop(self):
-        h = random_instance(3)
-        assert contract_clusters(h, tuple(range(h.vertex_count))) is h
+    """``reduce._lp_contract`` on fixed labels: one pass's clusters go
+    through ``_contract``, and a total collapse is refused."""
 
-    def test_one_cluster_per_component(self):
+    @staticmethod
+    def lp_contract(monkeypatch, h, labels):
+        monkeypatch.setattr(hgcut.lpcluster, "propagate_once", lambda g, seed: labels)
+        state = initial_state(h, PipelineConfig(use_lp=True, want_partition=True))
+        return _lp_contract(state), state
+
+    def test_all_singletons_noop(self, monkeypatch):
+        h = random_instance(3)
+        changed, state = self.lp_contract(monkeypatch, h, tuple(range(h.vertex_count)))
+        assert not changed and state.current is h
+
+    def test_one_cluster_per_component(self, monkeypatch):
         h = Hypergraph(6, [[0, 1, 2], [3, 4, 5]])
-        hc = contract_clusters(h, (0, 0, 0, 1, 1, 1))
+        changed, state = self.lp_contract(monkeypatch, h, (0, 0, 0, 1, 1, 1))
+        hc = state.current
+        assert changed
         assert hc.vertex_count == 2
         assert hc.edge_count == 0
         assert brute_mincut(hc).value == 0 == brute_mincut(h).value
+        assert state.upper_bound == 0
+        assert [state.log.expand_block([v]) for v in range(2)] == [{0, 1, 2}, {3, 4, 5}]
 
-    def test_total_collapse_rejected(self):
+    def test_total_collapse_rejected(self, monkeypatch):
         h = Hypergraph(3, [[0, 1], [1, 2]])
-        assert contract_clusters(h, (4, 4, 4)) is h
+        changed, state = self.lp_contract(monkeypatch, h, (4, 4, 4))
+        assert not changed and state.current is h
 
 
 class TestHeuristicPipeline:

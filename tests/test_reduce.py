@@ -587,6 +587,34 @@ class TestComposition:
         finally:
             hgcut.reduce.RULE_ORDER = original
 
+    @settings(
+        max_examples=600,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(st.one_of(small_hypergraphs(), hierarchical_nets()))
+    @example(  # the only edge as heavy as the bound has one pin
+        Hypergraph(4, [[0], [0, 1], [1, 2], [2, 3], [0, 3]], [9, 2, 1, 2, 1])
+    )
+    def test_every_contraction_lowers_the_vertex_count(self, h):
+        """No caller hands ``contract_groups`` links that join nothing, so
+        each call is a rebuild, with or without label propagation."""
+
+        def contract_groups(g, links, log=None):
+            out = original(g, links, log)
+            assert out.vertex_count < g.vertex_count
+            return out
+
+        original = hgcut.reduce.contract_groups
+        hgcut.reduce.contract_groups = contract_groups
+        try:
+            for use_lp in (False, True):
+                run_pipeline(h, PipelineConfig(use_lp=use_lp))
+        finally:
+            hgcut.reduce.contract_groups = original
+
 
 # -- disconnected inputs: no input pass, no link between components ------------
 
@@ -682,33 +710,22 @@ class TestDisconnectedInputs:
     @example(two_unit_cycles())
     @example(two_unit_cycles(parallel=True))
     def test_no_link_joins_two_input_components(self, h):
-        import hgcut.lpcluster
-
         labels = connected_components(h)
 
         def one_component(log, vertices):
             return len({labels[x] for v in vertices for x in log.members_of_current(v)}) <= 1
 
         def contract(state, links):
-            links = list(links)
             assert all(one_component(state.log, link) for link in links)
             return original_contract(state, links)
 
-        def contract_groups(g, groups, log=None):
-            groups = list(groups)
-            assert all(one_component(log, group) for group in groups)
-            return original_groups(g, groups, log)
-
         original_contract = hgcut.reduce._contract
-        original_groups = hgcut.lpcluster.contract_groups
         hgcut.reduce._contract = contract
-        hgcut.lpcluster.contract_groups = contract_groups
         try:
             for config in UNION_CONFIGS:
                 run_pipeline(h, config)
         finally:
             hgcut.reduce._contract = original_contract
-            hgcut.lpcluster.contract_groups = original_groups
 
     def test_one_pin_edges_leave_the_first_bound_exact(self):
         # counting the one-pin edges would give degrees of 8 for a cut of 5
