@@ -203,13 +203,13 @@ class _Tableau:
         return cls(t, basic.copy(), nonbasic)
 
     def lower_rhs(self, row: int) -> None:
-        """Lower ``b[row]`` by one: subtract the slack column of ``row``."""
+        """Lower ``b[row]`` by one, where the slack of ``row`` is basic: its
+        value drops by one.  The search lowers only bound rows of the
+        variable it branches on, which lies more than the integrality
+        tolerance from 0 and from 1, so both bound slacks are positive,
+        hence basic; the root lowers on the all-slack basis."""
         label = self.t.shape[1] - 1 + row
-        k = np.flatnonzero(self.nonbasic == label)
-        if k.size:
-            self.t[:, -1] -= self.t[:, k[0]]
-        else:
-            self.t[np.flatnonzero(self.basic == label)[0], -1] -= 1.0
+        self.t[np.flatnonzero(self.basic == label)[0], -1] -= 1.0
 
     def point(self) -> np.ndarray:
         """Values of the structural variables."""

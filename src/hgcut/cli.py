@@ -277,7 +277,6 @@ def _sidecar(path, payload: dict) -> None:
 
 
 def cmd_gen(args) -> int:
-    from .osolve import mincut_ordering
     from .synth import GenSpec, find_benchmark_core, random_hypergraph, randomize_weights
 
     modes = [bool(args.random), args.weights is not None, args.kcore is not None]
@@ -336,7 +335,7 @@ def cmd_gen(args) -> int:
             if found is None:
                 print("no core with a cut below its smallest weighted degree", file=sys.stderr)
                 return 1
-            k, core = found
+            k, core, value = found
             save_hypergraph(core, args.out)
             _sidecar(
                 args.out,
@@ -344,7 +343,7 @@ def cmd_gen(args) -> int:
                     "kind": "kcore",
                     "source": args.input,
                     "k": k,
-                    "mincut": mincut_ordering(core).value,
+                    "mincut": value,
                     "min_weighted_degree": core.min_weighted_degree(),
                     "n": core.vertex_count,
                     "m": core.edge_count,

@@ -22,8 +22,10 @@ overlap.  It hands them all to ``_contract``, which makes one
 ``contract_groups`` call; that call closes the links itself.  Label
 propagation contracts the same way: ``_lp_contract`` groups one pass's
 labels into clusters, refuses a pass that would leave a single vertex, and
-hands the clusters to ``_contract`` as links.  The driver, not the rule,
-records each call's effect in ``round_stats``.
+hands the clusters to ``_contract`` as links.  The three two-pin rules are
+tests over one marked pass, ``_pair_scan``, which walks the two-pin pairs
+in edge order and links each pair its rule's test accepts.  The driver, not
+the rule, records each call's effect in ``round_stats``.
 
 No pass checks the input's connectivity.  Every link lies inside one
 hyperedge or joins a pair that shares one, and label propagation spreads
@@ -43,6 +45,7 @@ An input that ``heavy-edge`` alone collapses costs one rebuild.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -135,12 +138,6 @@ class PipelineState:
     stop_reason: Optional[str] = None
     residual: Optional[ResidualStats] = None
 
-    def replace(self, h: Hypergraph) -> None:
-        self.current = h
-        nbytes = storage_nbytes(h)
-        if nbytes > self.peak_bytes:
-            self.peak_bytes = nbytes
-
 
 def initial_state(h: Hypergraph, config: Optional[PipelineConfig] = None) -> PipelineState:
     config = config if config is not None else PipelineConfig()
@@ -198,7 +195,7 @@ def _contract(state: PipelineState, links: Sequence[Sequence[int]]) -> bool:
     h = contract_groups(state.current, links, state.log)
     if h is state.current:
         return False
-    state.replace(h)
+    state.current = h
     update_upper_bound(state)
     return True
 
@@ -275,13 +272,33 @@ def _pair_weights(h: Hypergraph) -> dict:
     return pair_w
 
 
-def _neighbors(pair_w: dict) -> dict:
-    """Each vertex's two-pin neighbours, mapped to the pair's weight."""
-    neighbors: dict = {}
+def _pair_scan(state: PipelineState, test: Callable[..., bool]) -> bool:
+    """One marked pass over the two-pin pairs, in edge order: contract each
+    pair ``(u, v)`` of weight ``w_uv`` with both endpoints unmarked that
+    ``test(u, v, w_uv, nu, nv)`` accepts, and mark both.  ``nu`` and ``nv``
+    map each endpoint's two-pin neighbours to the pair's weight.  The
+    deadline is checked after every 4,096 scanned neighbour entries, before
+    anything changes."""
+    pair_w = _pair_weights(state.current)
+    neighbors: dict = defaultdict(dict)
     for (u, v), w in pair_w.items():
-        neighbors.setdefault(u, {})[v] = w
-        neighbors.setdefault(v, {})[u] = w
-    return neighbors
+        neighbors[u][v] = w
+        neighbors[v][u] = w
+    marked = bytearray(state.current.vertex_count)
+    links = []
+    scanned = 0
+    for (u, v), w_uv in pair_w.items():
+        if marked[u] or marked[v]:
+            continue
+        nu, nv = neighbors[u], neighbors[v]
+        scanned += min(len(nu), len(nv))
+        if scanned >= 4096:
+            _check_deadline(state)
+            scanned = 0
+        if test(u, v, w_uv, nu, nv):
+            links.append((u, v))
+            marked[u] = marked[v] = 1
+    return _contract(state, links)
 
 
 def rule_imbalanced_vertex(state: PipelineState) -> bool:
@@ -293,17 +310,8 @@ def rule_imbalanced_vertex(state: PipelineState) -> bool:
     vertex joins at most one contraction per pass.  Parallel two-pin edges
     are tested as one.
     """
-    h = state.current
-    wdeg = h.weighted_degrees()
-    marked = bytearray(h.vertex_count)
-    links = []
-    for (u, v), w in _pair_weights(h).items():
-        if marked[u] or marked[v]:
-            continue
-        if wdeg[u] < 2 * w or wdeg[v] < 2 * w:
-            links.append((u, v))
-            marked[u] = marked[v] = 1
-    return _contract(state, links)
+    wdeg = state.current.weighted_degrees()
+    return _pair_scan(state, lambda u, v, w_uv, nu, nv: wdeg[u] < 2 * w_uv or wdeg[v] < 2 * w_uv)
 
 
 def rule_imbalanced_triangle(state: PipelineState) -> bool:
@@ -317,31 +325,17 @@ def rule_imbalanced_triangle(state: PipelineState) -> bool:
     cut does not get dearer.  Either endpoint may be the one apart, so the
     test must hold for both.
     Only trivial cuts can be lost, and those are already folded into the
-    running bound.  The deadline is checked after every 4,096 scanned
-    neighbour entries, before anything changes.
+    running bound.
     """
-    h = state.current
-    wdeg = h.weighted_degrees()
-    pair_w = _pair_weights(h)
-    neighbors = _neighbors(pair_w)
-    marked = bytearray(h.vertex_count)
-    links = []
-    scanned = 0
-    for (u, v), w_uv in pair_w.items():
-        if marked[u] or marked[v]:
-            continue
-        nu, nv = neighbors[u], neighbors[v]
-        scanned += min(len(nu), len(nv))
-        if scanned >= 4096:
-            _check_deadline(state)
-            scanned = 0
-        common = nu.keys() & nv.keys()
-        for w in sorted(common):
-            if wdeg[u] <= 2 * (w_uv + nu[w]) and wdeg[v] <= 2 * (w_uv + nv[w]):
-                links.append((u, v))
-                marked[u] = marked[v] = 1
-                break
-    return _contract(state, links)
+    wdeg = state.current.weighted_degrees()
+
+    def test(u, v, w_uv, nu, nv):
+        for x in nu.keys() & nv.keys():
+            if wdeg[u] <= 2 * (w_uv + nu[x]) and wdeg[v] <= 2 * (w_uv + nv[x]):
+                return True
+        return False
+
+    return _pair_scan(state, test)
 
 
 def rule_heavy_neighborhood(state: PipelineState) -> bool:
@@ -349,32 +343,20 @@ def rule_heavy_neighborhood(state: PipelineState) -> bool:
     all common two-pin neighbors reaches the bound.
 
     A cut separating the endpoints would also cut one edge of each common
-    neighbor, so it could not beat the bound.  Per-pass vertex marking and
-    deadline checks, as above.
+    neighbor, so it could not beat the bound.  Per-pass vertex marking, as
+    above.
     """
     bound = state.upper_bound
     if bound <= 0:
         return False
-    pair_w = _pair_weights(state.current)
-    neighbors = _neighbors(pair_w)
-    marked = bytearray(state.current.vertex_count)
-    links = []
-    scanned = 0
-    for (u, v), w_uv in pair_w.items():
-        if marked[u] or marked[v]:
-            continue
+
+    def test(u, v, w_uv, nu, nv):
         total = w_uv
-        nu, nv = neighbors[u], neighbors[v]
-        scanned += min(len(nu), len(nv))
-        if scanned >= 4096:
-            _check_deadline(state)
-            scanned = 0
-        for w in nu.keys() & nv.keys():
-            total += min(nu[w], nv[w])
-        if total >= bound:
-            links.append((u, v))
-            marked[u] = marked[v] = 1
-    return _contract(state, links)
+        for x in nu.keys() & nv.keys():
+            total += min(nu[x], nv[x])
+        return total >= bound
+
+    return _pair_scan(state, test)
 
 
 RULE_ORDER: Tuple[Tuple[str, Callable[[PipelineState], bool]], ...] = (
@@ -425,23 +407,23 @@ def _check_deadline(state: PipelineState) -> None:
 
 
 def _reduce_rounds(state: PipelineState) -> Optional[CutResult]:
-    config = state.config
+    """Rounds of label propagation (with ``use_lp``, while more than two
+    vertices remain) and then the rules in ``RULE_ORDER``.  Each step checks
+    the deadline first and the stop conditions after; label propagation
+    never counts toward the fixpoint."""
     unchanged = 0  # rule calls in a row that changed neither graph nor bound
     while True:
         state.round_index += 1
-        _check_deadline(state)
-        if config.use_lp and state.current.vertex_count > 2:
-            before = state.current
-            if _lp_contract(state):
-                unchanged = 0
-            _note(state, "label-propagation", before)
-            if state.upper_bound == 0:
-                state.stop_reason = "zero-bound"
-                return _result(state, PROVENANCE_TRIVIAL, 0)
-        for name, rule in RULE_ORDER:
+        steps = RULE_ORDER
+        if state.config.use_lp and state.current.vertex_count > 2:
+            steps = (("label-propagation", _lp_contract),) + steps
+        for name, step in steps:
             _check_deadline(state)
             before = state.current
-            unchanged = 0 if rule(state) else unchanged + 1
+            if step(state):
+                unchanged = 0
+            elif step is not _lp_contract:
+                unchanged += 1
             _note(state, name, before)
             if state.upper_bound == 0:
                 state.stop_reason = "zero-bound"
@@ -466,7 +448,7 @@ def _solve_residual(state: PipelineState) -> CutResult:
     from .osolve import mincut_ordering
 
     config = state.config
-    state.replace(compact(state.current))
+    state.current = compact(state.current)
     h = state.current
     stats = ResidualStats(
         solver=config.solver, n=h.vertex_count, m=h.edge_count, p=h.pin_count, status="optimal"

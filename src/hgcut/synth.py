@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .hgraph import Hypergraph, connected_components
+from .hgraph import Hypergraph, Weight, connected_components
 from .osolve import mincut_ordering
 
 __all__ = [
@@ -162,9 +162,10 @@ def k2_core(h: Hypergraph, k: int) -> Hypergraph:
     )
 
 
-def find_benchmark_core(h: Hypergraph) -> Optional[Tuple[int, Hypergraph]]:
+def find_benchmark_core(h: Hypergraph) -> Optional[Tuple[int, Hypergraph, Weight]]:
     """Smallest k >= 2 whose core admits a cut below its smallest weighted
-    degree; None when the cores run out first."""
+    degree, with that core and its minimum cut; None when the cores run
+    out first."""
     k = 2
     while True:
         core = k2_core(h, k)
@@ -172,5 +173,5 @@ def find_benchmark_core(h: Hypergraph) -> Optional[Tuple[int, Hypergraph]]:
             return None
         value = mincut_ordering(core).value
         if value < core.min_weighted_degree():
-            return k, core
+            return k, core, value
         k += 1

@@ -18,6 +18,7 @@ from hgcut import (
     run_pipeline,
     run_pipeline_detailed,
 )
+from hgcut.hgraph import storage_nbytes
 from hgcut.reduce import (
     RULE_ORDER,
     _reduce_rounds,
@@ -56,6 +57,13 @@ def check_expired_deadline(h, rule):
     assert state.current is h
     assert state.upper_bound == bound
     assert state.round_stats == []
+
+
+@pytest.mark.parametrize("rule", [rule for _, rule in RULE_ORDER], ids=[name for name, _ in RULE_ORDER])
+def test_every_rule_checks_the_deadline_inside_its_scan(rule):
+    """An expired deadline stops every rule on a unit 100-clique (4,950
+    two-pin pairs) before it changes anything."""
+    check_expired_deadline(unit_clique(100), rule)
 
 
 def check_exact(h, state):
@@ -343,6 +351,15 @@ class TestPipeline:
                     assert s.edges_after <= s.edges_before
                 last = stats[-1].edges_after
 
+    def test_peak_is_the_input_estimate_with_the_exact_solver(self):
+        # contractions and compactions only shrink n, m and p
+        inputs = [random_instance(seed) for seed in range(30)]
+        inputs += [unit_cycle(30), two_cycle_union(), two_unit_cycles(parallel=True)]
+        for h in inputs:
+            for use_lp in (False, True):
+                _, state = run_pipeline_detailed(h, PipelineConfig(use_lp=use_lp))
+                assert state.peak_bytes == storage_nbytes(h)
+
     def test_partition_matches_value(self):
         for seed in range(60):
             h = random_instance(seed)
@@ -450,14 +467,26 @@ class TestStrictness:
         assert overshoot == 6 > 5  # the equality contraction destroyed the optimum
 
 
+def dense_weighted_instance(seed):
+    """4-9 vertices, n..3n edges of mostly two pins, weights 1..3, 1..10 or
+    1..100; may be disconnected."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 9)
+    edges = [rng.sample(range(n), rng.choice((2, 2, 2, 3))) for _ in range(rng.randint(n, 3 * n))]
+    return Hypergraph(n, edges, [rng.randint(1, rng.choice((3, 10, 100))) for _ in edges])
+
+
 class TestPerRuleExactness:
     def test_every_rule_preserves_mincut(self):
+        # the dense weighted inputs catch a heavy-neighborhood test that
+        # sums the dearer side, and a triangle test that reads the dearer
+        # triangle edge at both endpoints; the sparse ones do not
         for seed in range(150):
-            h = random_instance(seed)
-            for name, rule in RULE_ORDER:
-                state = make_state(h)
-                rule(state)
-                check_exact(h, state)
+            for h in (random_instance(seed), dense_weighted_instance(seed)):
+                for name, rule in RULE_ORDER:
+                    state = make_state(h)
+                    rule(state)
+                    check_exact(h, state)
 
     def test_contract_holds_after_every_application_in_a_run(self):
         for seed in range(50):
@@ -570,9 +599,11 @@ class TestComposition:
 
         def checked(name, rule):
             def run(state):
+                nbytes = storage_nbytes(state.current)
                 changed = rule(state)
                 applied.append(name)
                 current = state.current
+                assert storage_nbytes(current) <= nbytes, name
                 rest = brute_mincut(current).value if current.vertex_count >= 2 else state.upper_bound
                 assert min(state.upper_bound, rest) == truth, (name, len(applied))
                 return changed

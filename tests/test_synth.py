@@ -158,9 +158,9 @@ class TestFindBenchmarkCore:
         h = Hypergraph(6, [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [2, 3]])
         found = find_benchmark_core(h)
         assert found is not None
-        k, core = found
+        k, core, value = found
         assert k == 2
-        assert mincut_ordering(core).value < core.min_weighted_degree()
+        assert value == mincut_ordering(core).value < core.min_weighted_degree()
 
     def test_star_has_no_core(self):
         star = Hypergraph(4, [[0, 1], [0, 2], [0, 3]])
@@ -175,7 +175,7 @@ class TestFindBenchmarkCore:
             found = find_benchmark_core(h)
             if found is None:
                 continue
-            k, core = found
+            k, core, value = found
             assert k >= 2
             assert core.vertex_count >= 2
-            assert mincut_ordering(core).value < core.min_weighted_degree()
+            assert value == mincut_ordering(core).value < core.min_weighted_degree()
