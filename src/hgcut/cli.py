@@ -293,7 +293,6 @@ def cmd_gen(args) -> int:
                 edge_count=args.m,
                 size_range=tuple(args.sizes),
                 weight_range=tuple(args.edge_weights),
-                vertex_weight_range=tuple(args.vertex_weights),
                 seed=args.seed,
                 ensure_connected=args.connected,
             )
@@ -388,10 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-m", type=int, default=24, help="hyperedge count for --random")
     gen.add_argument("--sizes", type=int, nargs=2, default=(2, 4), metavar=("MIN", "MAX"))
     gen.add_argument("--edge-weights", type=int, nargs=2, default=(1, 1), metavar=("LO", "HI"))
-    gen.add_argument("--vertex-weights", type=int, nargs=2, default=(1, 1), metavar=("LO", "HI"))
     gen.add_argument("--connected", action="store_true")
     gen.add_argument("--weights", type=int, nargs=2, default=None, metavar=("LO", "HI"),
-                     help="redraw all weights of an existing instance")
+                     help="redraw every hyperedge weight of an existing instance")
     gen.add_argument("--kcore", action="store_true", default=None,
                      help="extract the smallest peeled core with a nontrivial cut")
     gen.add_argument("--seed", type=int, default=0)

@@ -2,23 +2,23 @@
 
 A :class:`Hypergraph` is an immutable-after-build incidence structure over
 dense vertex ids ``0..n-1``.  Each hyperedge stores a sorted tuple of
-distinct pins plus a nonnegative weight; vertices carry their own weights.
-The per-vertex incidence index is derived from the edge list on first
-use, so hypergraphs that are only scanned edge by edge never build it.
+distinct pins plus a nonnegative weight; vertices carry no weight, since
+no cut reads one.  The per-vertex incidence index, the weighted degrees
+and the two-pin pair map are derived from the edge list on first use, so
+hypergraphs that are only scanned edge by edge never build them.
 
 Weights may be ints or floats.  Integer weights are kept exact end to end
 (Python ints do not overflow), which is what makes equality checks against
 brute-force enumeration meaningful.
 
 Contraction is done by relabelling through a closure and rebuilding the
-structure in one pass: merged vertices sum their weights, pins are
-deduplicated per edge, edges that fall below two pins (or have zero weight)
-are dropped, and edges with identical pin sets are merged by summing their
-weights.  The relabelling is the whole merge history.  A
-:class:`ContractionLog` follows it to hold the input vertices behind each
-current vertex, so any bipartition of a reduced hypergraph expands back to
-the input vertex set with an identical cut value; the pipeline keeps one
-only when a partition is asked for.
+structure in one pass: pins are deduplicated per edge, edges that fall
+below two pins (or have zero weight) are dropped, and edges with identical
+pin sets are merged by summing their weights.  The relabelling is the
+whole merge history.  A :class:`ContractionLog` follows it to hold the
+input vertices behind each current vertex, so any bipartition of a
+reduced hypergraph expands back to the input vertex set with an identical
+cut value; the pipeline keeps one only when a partition is asked for.
 
 Every contraction is one ``contract_groups`` call on *links*: vertex
 tuples whose members must end in one vertex, which may overlap.
@@ -83,16 +83,15 @@ def _check_weight(w: Weight, what: str) -> Weight:
 
 
 class Hypergraph:
-    """Immutable incidence structure with vertex and hyperedge weights."""
+    """Immutable incidence structure with hyperedge weights."""
 
-    __slots__ = ("_n", "_pins", "_weights", "_vweights", "_incidence", "_p", "_wdeg")
+    __slots__ = ("_n", "_pins", "_weights", "_incidence", "_p", "_wdeg", "_pairs")
 
     def __init__(
         self,
         vertex_count: int,
         pins_lists: Iterable[Iterable[int]] = (),
         edge_weights: Optional[Sequence[Weight]] = None,
-        vertex_weights: Optional[Sequence[Weight]] = None,
         *,
         _normalized: bool = False,
     ) -> None:
@@ -105,7 +104,6 @@ class Hypergraph:
             # Trusted internal path: pins already sorted, distinct, in range.
             pins = list(pins_lists)  # type: ignore[arg-type]
             weights = list(edge_weights) if edge_weights is not None else [1] * len(pins)
-            vweights = list(vertex_weights) if vertex_weights is not None else [1] * n
         else:
             raw = [list(e) for e in pins_lists]
             if edge_weights is None:
@@ -115,14 +113,6 @@ class Hypergraph:
                 if len(weights) != len(raw):
                     raise ValueError(
                         f"{len(raw)} hyperedges but {len(weights)} edge weights"
-                    )
-            if vertex_weights is None:
-                vweights = [1] * n
-            else:
-                vweights = [_check_weight(c, "vertex weight") for c in vertex_weights]
-                if len(vweights) != n:
-                    raise ValueError(
-                        f"{n} vertices but {len(vweights)} vertex weights"
                     )
             pins = []
             for e in raw:
@@ -135,10 +125,10 @@ class Hypergraph:
 
         self._pins: list = pins
         self._weights: list = weights
-        self._vweights: list = vweights
         self._p = sum(map(len, pins))
         self._incidence: Optional[list] = None
         self._wdeg: Optional[list] = None
+        self._pairs: Optional[tuple] = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -165,12 +155,6 @@ class Hypergraph:
 
     def edge_weights(self) -> tuple:
         return tuple(self._weights)
-
-    def vertex_weight(self, v: int) -> Weight:
-        return self._vweights[v]
-
-    def vertex_weights(self) -> tuple:
-        return tuple(self._vweights)
 
     def _incidence_lists(self) -> list:
         """Incident edge ids per vertex, ascending; built on first use."""
@@ -203,6 +187,25 @@ class Hypergraph:
             self._wdeg = wd
         return self._wdeg
 
+    def two_pin_pairs(self) -> tuple:
+        """``(pair_w, neighbors)``, built on first use.  ``pair_w`` maps each
+        pin pair to the summed weight of its two-pin edges, in the order
+        ``compact`` would keep them: zero-weight edges are skipped, so an
+        uncompacted input gives what its compacted form gives.
+        ``neighbors[u]`` maps each two-pin neighbour of ``u`` to the pair's
+        weight.  Callers must not change either."""
+        if self._pairs is None:
+            pair_w: dict = {}
+            for pins, w in zip(self._pins, self._weights):
+                if len(pins) == 2 and w:
+                    pair_w[pins] = pair_w.get(pins, 0) + w
+            neighbors: dict = {}
+            for (u, v), w in pair_w.items():
+                neighbors.setdefault(u, {})[v] = w
+                neighbors.setdefault(v, {})[u] = w
+            self._pairs = (pair_w, neighbors)
+        return self._pairs
+
     def min_weighted_degree(self) -> Weight:
         if self._n == 0:
             raise ValueError("empty hypergraph has no vertex degrees")
@@ -230,7 +233,6 @@ class Hypergraph:
             self._n == other._n
             and self._pins == other._pins
             and self._weights == other._weights
-            and self._vweights == other._vweights
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -301,12 +303,12 @@ def contract_groups(
     compact; ``h`` itself when no link joins two vertices.
 
     Links may overlap (see :func:`_roots`); every vertex in them must be a
-    vertex of ``h``.  Merged vertices sum their weights; the edge list is
-    rebuilt with deduplicated pins, edges below two pins or with zero
-    weight are dropped, and parallel edges (identical pin sets) are merged
-    by summing weights.  Two-pin edges are relabelled without a set or a
-    sort; a closure holding every vertex in one class gives the one-vertex
-    hypergraph without relabelling any edge.
+    vertex of ``h``.  The edge list is rebuilt with deduplicated pins,
+    edges below two pins or with zero weight are dropped, and parallel
+    edges (identical pin sets) are merged by summing weights.  Two-pin
+    edges are relabelled without a set or a sort; a closure holding every
+    vertex in one class gives the one-vertex hypergraph without looking at
+    any edge or vertex.
     """
     n = h.vertex_count
     relabel, new_n = _roots(n, links)
@@ -315,16 +317,9 @@ def contract_groups(
 
     if new_n == 1:
         # One class holds every vertex: no edge survives.
-        total: Weight = 0
-        for c in h._vweights:
-            total += c
         if log is not None:
             log.apply(relabel, 1)
-        return Hypergraph(1, [], [], [total], _normalized=True)
-
-    new_c = [0] * new_n
-    for r, c in zip(relabel, h._vweights):
-        new_c[r] += c
+        return Hypergraph(1, [], [], _normalized=True)
 
     merged: dict = {}
     for pins, w in zip(h._pins, h._weights):
@@ -349,13 +344,7 @@ def contract_groups(
     if log is not None:
         log.apply(relabel, new_n)
 
-    return Hypergraph(
-        new_n,
-        list(merged.keys()),
-        list(merged.values()),
-        new_c,
-        _normalized=True,
-    )
+    return Hypergraph(new_n, list(merged.keys()), list(merged.values()), _normalized=True)
 
 
 def contract_set(
@@ -388,13 +377,7 @@ def compact(h: Hypergraph) -> Hypergraph:
             merged[pins] = w
     if len(merged) == len(h._pins):
         return h
-    return Hypergraph(
-        h.vertex_count,
-        list(merged.keys()),
-        list(merged.values()),
-        list(h._vweights),
-        _normalized=True,
-    )
+    return Hypergraph(h.vertex_count, list(merged.keys()), list(merged.values()), _normalized=True)
 
 
 # -- traversal and cut evaluation --------------------------------------------
@@ -500,7 +483,8 @@ class CutResult:
 # Line 1: `m n [fmt]` with fmt in {absent, 1, 10, 11}.  The next m
 # non-comment lines hold one hyperedge each: a leading weight iff fmt is
 # 1 or 11, then 1-based pin ids.  If fmt is 10 or 11, n further lines hold
-# one vertex weight each.  Lines starting with `%` are comments.
+# one vertex weight each; they are validated and dropped, since no cut
+# reads a vertex weight.  Lines starting with `%` are comments.
 
 
 def _parse_int(tok: str, what: str) -> int:
@@ -571,7 +555,7 @@ def parse_hmetis(text: str) -> Hypergraph:
     has_vw = fmt in ("10", "11")
     pins_lists = []
     eweights: list = []
-    vweights: list = []
+    vertex_lines = 0
     fault = None
     try:
         for toks in islice(rows, m):
@@ -594,14 +578,13 @@ def parse_hmetis(text: str) -> Hypergraph:
             for toks in islice(rows, n):
                 if len(toks) != 1:
                     raise ValueError("vertex weight lines hold one number")
-                c = _parse_weight(toks[0])
-                if c < 0:
+                if _parse_weight(toks[0]) < 0:
                     raise ValueError("negative vertex weight")
-                vweights.append(c)
+                vertex_lines += 1
     except ValueError as exc:
         fault = str(exc)
     # A wrong data-line count is reported before a fault inside a line.
-    done = 1 + len(pins_lists) + len(vweights)  # data lines read without a fault
+    done = 1 + len(pins_lists) + vertex_lines  # data lines read without a fault
     found = done + (fault is not None) + sum(1 for _ in rows)
     need = 1 + m + (n if has_vw else 0)
     if found != need:
@@ -612,10 +595,7 @@ def parse_hmetis(text: str) -> Hypergraph:
         )
     if fault is not None:
         raise ValueError(f"line {_line_number(lines, done)}: {fault}")
-    return Hypergraph(
-        n, pins_lists, eweights if has_ew else [1] * m, vweights if has_vw else None,
-        _normalized=True,
-    )
+    return Hypergraph(n, pins_lists, eweights if has_ew else [1] * m, _normalized=True)
 
 
 def _fmt_weight(w: Weight) -> str:
@@ -627,26 +607,16 @@ def _fmt_weight(w: Weight) -> str:
 
 
 def format_hmetis(h: Hypergraph) -> str:
-    """Serialize to canonical hMetis text: sorted pins, minimal fmt code."""
+    """Serialize to canonical hMetis text: sorted pins, fmt 1 if any edge
+    weight is not 1, else no fmt code."""
     has_ew = not h.is_unweighted()
-    has_vw = any(c != 1 for c in h.vertex_weights())
-    if has_ew and has_vw:
-        fmt = " 11"
-    elif has_ew:
-        fmt = " 1"
-    elif has_vw:
-        fmt = " 10"
-    else:
-        fmt = ""
-    lines = [f"{h.edge_count} {h.vertex_count}{fmt}"]
+    lines = [f"{h.edge_count} {h.vertex_count}{' 1' if has_ew else ''}"]
     for pins, w in h.edges():
         body = " ".join(str(v + 1) for v in pins)
         if has_ew:
             lines.append(f"{_fmt_weight(w)} {body}" if body else _fmt_weight(w))
         else:
             lines.append(body)
-    if has_vw:
-        lines.extend(_fmt_weight(c) for c in h.vertex_weights())
     return "\n".join(lines) + "\n"
 
 

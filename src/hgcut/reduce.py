@@ -38,14 +38,15 @@ No rule compacts the input.  Weighted degrees ignore one-pin edges, so the
 first bound is a cut value.  ``heavy-edge`` reads parallel edges one by
 one, but ``heavy-overlap`` sums them, so it links the pins of parallel
 edges that reach the bound only together; the pair rules read two-pin
-edges through ``_pair_weights``.  Every ``contract_groups`` rebuild
-compacts, and ``_solve_residual`` compacts an input that no rule changed.
-An input that ``heavy-edge`` alone collapses costs one rebuild.
+edges through ``Hypergraph.two_pin_pairs``, which each hypergraph builds
+once, so a pair rule after one that changed nothing builds no new map.
+Every ``contract_groups`` rebuild compacts, and ``_solve_residual``
+compacts an input that no rule changed.  An input that ``heavy-edge``
+alone collapses costs one rebuild.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -227,23 +228,19 @@ def rule_heavy_overlap(state: PipelineState) -> bool:
     """Contract vertex pairs whose shared incident weight reaches the bound.
 
     If a cut separated such a pair it would cut every shared hyperedge, so
-    it could not improve on the bound.  Only vertices whose weighted degree
-    reaches the bound can participate, which caps the scan at the sum of
-    squared edge sizes.  Larger overlapping sets collapse over successive
-    rounds through cascaded pair contractions.  The deadline is checked
-    after every 4,096 scanned pins, before anything changes.
+    it could not improve on the bound.  Larger overlapping sets collapse
+    over successive rounds through cascaded pair contractions.  The
+    deadline is checked after every 4,096 scanned pins, before anything
+    changes.
     """
     bound = state.upper_bound
     if bound <= 0:
         return False
     h = state.current
-    wdeg = h.weighted_degrees()
     links = []
     shared: dict = {}
     scanned = 0
     for u in range(h.vertex_count):
-        if wdeg[u] < bound:
-            continue
         shared.clear()
         for eid in h.incident(u):
             w = h.weight(eid)
@@ -261,29 +258,14 @@ def rule_heavy_overlap(state: PipelineState) -> bool:
     return _contract(state, links)
 
 
-def _pair_weights(h: Hypergraph) -> dict:
-    """The summed weight of the two-pin edges on each pin pair, in the
-    order ``compact`` would keep them: zero-weight edges are skipped, so an
-    uncompacted input gives what its compacted form gives."""
-    pair_w: dict = {}
-    for pins, w in h.edges():
-        if len(pins) == 2 and w:
-            pair_w[pins] = pair_w.get(pins, 0) + w
-    return pair_w
-
-
 def _pair_scan(state: PipelineState, test: Callable[..., bool]) -> bool:
     """One marked pass over the two-pin pairs, in edge order: contract each
     pair ``(u, v)`` of weight ``w_uv`` with both endpoints unmarked that
     ``test(u, v, w_uv, nu, nv)`` accepts, and mark both.  ``nu`` and ``nv``
-    map each endpoint's two-pin neighbours to the pair's weight.  The
-    deadline is checked after every 4,096 scanned neighbour entries, before
-    anything changes."""
-    pair_w = _pair_weights(state.current)
-    neighbors: dict = defaultdict(dict)
-    for (u, v), w in pair_w.items():
-        neighbors[u][v] = w
-        neighbors[v][u] = w
+    map each endpoint's two-pin neighbours to the pair's weight (see
+    ``Hypergraph.two_pin_pairs``).  The deadline is checked after every
+    4,096 scanned neighbour entries, before anything changes."""
+    pair_w, neighbors = state.current.two_pin_pairs()
     marked = bytearray(state.current.vertex_count)
     links = []
     scanned = 0

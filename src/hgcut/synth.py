@@ -33,7 +33,6 @@ class GenSpec:
     edge_count: int
     size_range: Tuple[int, int] = (2, 4)
     weight_range: Tuple[int, int] = (1, 1)
-    vertex_weight_range: Tuple[int, int] = (1, 1)
     seed: int = 0
     ensure_connected: bool = False
 
@@ -60,7 +59,6 @@ def random_hypergraph(spec: GenSpec) -> Hypergraph:
     if smax > n:
         raise ValueError(f"edge size {smax} exceeds vertex count {n}")
     _check_int_range(*spec.weight_range, "edge weight")
-    _check_int_range(*spec.vertex_weight_range, "vertex weight")
 
     rng = random.Random(spec.seed)
     population = range(n)
@@ -70,9 +68,8 @@ def random_hypergraph(spec: GenSpec) -> Hypergraph:
         size = rng.randint(smin, smax)
         pins_lists.append(rng.sample(population, size))
         weights.append(rng.randint(*spec.weight_range))
-    vweights = [rng.randint(*spec.vertex_weight_range) for _ in range(n)]
 
-    h = Hypergraph(n, pins_lists, weights, vweights)
+    h = Hypergraph(n, pins_lists, weights)
     if spec.ensure_connected and n > 1:
         labels = connected_components(h)
         ncomp = max(labels) + 1
@@ -84,22 +81,17 @@ def random_hypergraph(spec: GenSpec) -> Hypergraph:
             for a, b in zip(reps, reps[1:]):
                 pins_lists.append([a, b])
                 weights.append(rng.randint(*spec.weight_range))
-            h = Hypergraph(n, pins_lists, weights, vweights)
+            h = Hypergraph(n, pins_lists, weights)
     return h
 
 
 def randomize_weights(h: Hypergraph, lo: int, hi: int, seed: int = 0) -> Hypergraph:
-    """Redraw every vertex and hyperedge weight uniformly from [lo, hi]."""
+    """Redraw every hyperedge weight uniformly from [lo, hi]."""
     _check_int_range(lo, hi, "weight")
     rng = random.Random(seed)
     eweights = [rng.randint(lo, hi) for _ in range(h.edge_count)]
-    vweights = [rng.randint(lo, hi) for _ in range(h.vertex_count)]
     return Hypergraph(
-        h.vertex_count,
-        [h.pins(e) for e in range(h.edge_count)],
-        eweights,
-        vweights,
-        _normalized=True,
+        h.vertex_count, [h.pins(e) for e in range(h.edge_count)], eweights, _normalized=True
     )
 
 
@@ -153,13 +145,7 @@ def k2_core(h: Hypergraph, k: int) -> Hypergraph:
         if edge_alive[e]:
             pins_lists.append(tuple(sorted(relabel[v] for v in pin_sets[e])))
             weights.append(h.weight(e))
-    return Hypergraph(
-        len(keep),
-        pins_lists,
-        weights,
-        [h.vertex_weight(v) for v in keep],
-        _normalized=True,
-    )
+    return Hypergraph(len(keep), pins_lists, weights, _normalized=True)
 
 
 def find_benchmark_core(h: Hypergraph) -> Optional[Tuple[int, Hypergraph, Weight]]:

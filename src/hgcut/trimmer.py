@@ -101,7 +101,6 @@ def construct_certificate(
         h.vertex_count,
         [h.pins(e) for e in kept],
         [h.weight(e) for e in kept],
-        list(h.vertex_weights()),
         _normalized=True,
     )
 

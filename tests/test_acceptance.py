@@ -235,7 +235,6 @@ def _fresh_copy(h):
         h.vertex_count,
         [h.pins(e) for e in range(h.edge_count)],
         h.edge_weights(),
-        h.vertex_weights(),
         _normalized=True,
     )
 

@@ -103,17 +103,13 @@ def reference_parse(text):
             pins.append(v - 1)
         eweights.append(w)
         pins_lists.append(pins)
-    vweights = None
-    if has_vw:
-        vweights = []
-        for lineno, toks in entries[1 + m :]:
-            if len(toks) != 1:
-                raise ValueError(f"line {lineno}: vertex weight lines hold one number")
-            c = _ref_weight(toks[0], lineno)
-            if c < 0:
-                raise ValueError(f"line {lineno}: negative vertex weight")
-            vweights.append(c)
-    return Hypergraph(n, pins_lists, eweights, vweights)
+    # vertex-weight lines are checked, then dropped
+    for lineno, toks in entries[1 + m :]:
+        if len(toks) != 1:
+            raise ValueError(f"line {lineno}: vertex weight lines hold one number")
+        if _ref_weight(toks[0], lineno) < 0:
+            raise ValueError(f"line {lineno}: negative vertex weight")
+    return Hypergraph(n, pins_lists, eweights)
 
 
 def outcome(parse, text):
@@ -123,7 +119,7 @@ def outcome(parse, text):
         h = parse(text)
     except ValueError as exc:
         return ("error", str(exc))
-    return ("ok", h.vertex_count, repr(list(h.edges())), repr(h.vertex_weights()))
+    return ("ok", h.vertex_count, repr(list(h.edges())))
 
 
 _WEIGHTS = st.one_of(
@@ -266,7 +262,6 @@ def dirty_copy(rng, h):
         n,
         [h.pins(e) for e in range(h.edge_count)] + extra,
         list(h.edge_weights()) + [3, 0, 2],
-        list(h.vertex_weights()),
     )
 
 
@@ -351,9 +346,6 @@ def reference_contract(h, groups, log):
             relabel[rep[v]] = nxt
             nxt += 1
         relabel[v] = relabel[rep[v]]
-    weights = [0] * nxt
-    for v in range(n):
-        weights[relabel[v]] += h.vertex_weight(v)
     merged = {}
     for pins, w in h.edges():
         key = tuple(sorted({relabel[v] for v in pins}))
@@ -361,12 +353,11 @@ def reference_contract(h, groups, log):
             continue
         merged[key] = merged[key] + w if key in merged else w
     log.apply(norm, relabel, nxt)
-    return Hypergraph(nxt, list(merged), list(merged.values()), weights)
+    return Hypergraph(nxt, list(merged), list(merged.values()))
 
 
 def same_graph(a, b):
-    return (a.vertex_count, repr(list(a.edges())), repr(a.vertex_weights())) == (
-        b.vertex_count, repr(list(b.edges())), repr(b.vertex_weights()))
+    return (a.vertex_count, repr(list(a.edges()))) == (b.vertex_count, repr(list(b.edges())))
 
 
 class TestContraction:
@@ -379,7 +370,6 @@ class TestContraction:
                     h.vertex_count,
                     [h.pins(e) for e in range(h.edge_count)],
                     [w / 10 for w in h.edge_weights()],
-                    [rng.random() for _ in range(h.vertex_count)],
                 )
             log, ref_log = ContractionLog(h.vertex_count), ReferenceLog(h.vertex_count)
             ref = h
@@ -396,10 +386,6 @@ class TestContraction:
             rng = random.Random(seed)
             h0 = random_instance(seed)
             n = h0.vertex_count
-            h0 = Hypergraph(
-                n, [h0.pins(e) for e in range(h0.edge_count)], list(h0.edge_weights()),
-                [rng.choice((1, 0.1, 0.7, 3)) for _ in range(n)],
-            )
             log, ref_log = ContractionLog(n), ReferenceLog(n)
             h, ref = h0, h0
             if seed % 2:  # reach the last step through earlier merges
@@ -515,7 +501,6 @@ class TestClosure:
                     n,
                     [h.pins(e) for e in range(h.edge_count)],
                     [w / 10 for w in h.edge_weights()],
-                    [rng.random() for _ in range(n)],
                 )
             links = [
                 tuple(rng.choice(range(n)) for _ in range(rng.randint(0, 3)))

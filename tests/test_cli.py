@@ -191,8 +191,11 @@ def solve_capped(path, cap, *args):
 @pytest.mark.parametrize(
     "text, args, cap, reason",
     [
-        # the header's vertex count alone asks for 1.6 GB of vertex weights
-        ("1 200000000\n1 2\n", (), 1_500_000_000, "out of memory while loading the instance"),
+        # the file fits; 200 million vertices' weighted degrees take 1.6 GB
+        ("1 200000000\n1 2\n", (), 1_500_000_000, "out of memory while solving"),
+        # four million hyperedge lines do not fit in 300 MB as they are parsed
+        ("4000000 2\n" + "1 2\n" * 4_000_000, (), 300_000_000,
+         "out of memory while loading the instance"),
         # the dense model of a 3,000-vertex cycle does not fit in 300 MB
         (
             "3000 3000\n" + "".join(f"{i + 1} {(i + 1) % 3000 + 1}\n" for i in range(3000)),
@@ -201,7 +204,7 @@ def solve_capped(path, cap, *args):
             "out of memory while solving",
         ),
     ],
-    ids=["load", "solve"],
+    ids=["header", "load", "solve"],
 )
 def test_out_of_memory_ends_as_a_failed_record(tmp_path, text, args, cap, reason):
     path = tmp_path / "big.hgr"
@@ -281,7 +284,7 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
         assert json.loads((tmp_path / "a.hgr.json").read_text())["kind"] == "random"
 
-    def test_reweight_produces_fmt_11(self, capsys, tmp_path):
+    def test_reweight_produces_fmt_1(self, capsys, tmp_path):
         src = tmp_path / "src.hgr"
         assert main(["gen", "--random", "-n", "8", "-m", "12", "--seed", "2",
                      "--out", str(src)]) == 0
@@ -290,7 +293,7 @@ class TestGen:
                      "--out", str(out)]) == 0
         capsys.readouterr()
         header = out.read_text().splitlines()[0]
-        assert header.endswith(" 11")
+        assert header == "12 8 1"
         h = load_hypergraph(out)
         assert all(1 <= w <= 100 for w in h.edge_weights())
 

@@ -288,6 +288,31 @@ class TestRuleHeavyNeighborhood:
         check_expired_deadline(unit_clique(100), rule_heavy_neighborhood)
 
 
+def test_two_pin_rules_build_one_pair_map_per_hypergraph(monkeypatch):
+    """The pair map is built once per hypergraph: where imbalanced-vertex
+    contracts nothing, the next two rules read the map it read."""
+    calls = []  # (hypergraph, pair map) per call; keeps every graph alive
+    two_pin_pairs = Hypergraph.two_pin_pairs
+
+    def spy(h):
+        calls.append((h, two_pin_pairs(h)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(Hypergraph, "two_pin_pairs", spy)
+    h = unit_cycle(8)  # no rule fires
+    state = make_state(h)
+    for rule in (rule_imbalanced_vertex, rule_imbalanced_triangle, rule_heavy_neighborhood):
+        assert not rule(state)
+    assert len(calls) == 3
+    assert all(g is h and maps is calls[0][1] for g, maps in calls)
+
+    for seed in range(20):
+        run_pipeline(random_instance(seed))
+    first: dict = {}
+    for g, maps in calls:
+        assert first.setdefault(id(g), maps) is maps
+
+
 class TestPipeline:
     def test_triangle_fully_reduced(self, triangle):
         res, state = run_pipeline_detailed(triangle, PipelineConfig(want_partition=True))

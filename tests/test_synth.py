@@ -16,17 +16,30 @@ from hgcut import (
 
 def core_with_vertex_map(h, k):
     """``k2_core`` of ``h`` and the input vertex behind each core vertex.
-    The input is relabelled with vertex ``v`` weighing ``v + 1``: peeling
-    ignores vertex weights and the core keeps the survivors' weights in id
-    order, so the weights name the survivors."""
-    named = Hypergraph(
-        h.vertex_count,
-        [h.pins(e) for e in range(h.edge_count)],
-        [h.weight(e) for e in range(h.edge_count)],
-        [v + 1 for v in range(h.vertex_count)],
+    The survivors come from an independent peeling, and the core must equal
+    ``h`` restricted to them and relabelled in id order: the same edges,
+    in input order, with the same weights."""
+    alive = set(range(h.vertex_count))
+    while True:
+        live_edges = [e for e in range(h.edge_count) if len(alive.intersection(h.pins(e))) >= 2]
+        deg = {v: 0 for v in alive}
+        for e in live_edges:
+            for v in alive.intersection(h.pins(e)):
+                deg[v] += 1
+        victims = {v for v, d in deg.items() if d < k}
+        if not victims:
+            break
+        alive -= victims
+    keep = tuple(sorted(alive))
+    relabel = {v: i for i, v in enumerate(keep)}
+    expected = Hypergraph(
+        len(keep),
+        [[relabel[v] for v in h.pins(e) if v in alive] for e in live_edges],
+        [h.weight(e) for e in live_edges],
     )
-    core = k2_core(named, k)
-    return core, tuple(core.vertex_weight(v) - 1 for v in range(core.vertex_count))
+    core = k2_core(h, k)
+    assert core == expected
+    return core, keep
 
 
 class TestRandomHypergraph:
@@ -60,14 +73,12 @@ class TestRandomizeWeights:
         h = random_hypergraph(GenSpec(vertex_count=6, edge_count=6, seed=1, weight_range=(3, 9)))
         hw = randomize_weights(h, 1, 1, seed=0)
         assert hw.is_unweighted()
-        assert all(c == 1 for c in hw.vertex_weights())
 
     def test_range_respected_topology_unchanged(self):
         h = random_hypergraph(GenSpec(vertex_count=6, edge_count=6, seed=2))
         hw = randomize_weights(h, 1, 100, seed=5)
         assert [hw.pins(e) for e in range(hw.edge_count)] == [h.pins(e) for e in range(h.edge_count)]
         assert all(1 <= w <= 100 for w in hw.edge_weights())
-        assert all(1 <= c <= 100 for c in hw.vertex_weights())
 
     def test_same_seed_same_weights(self):
         h = random_hypergraph(GenSpec(vertex_count=6, edge_count=6, seed=2))
