@@ -22,10 +22,10 @@ overlap.  It hands them all to ``_contract``, which makes one
 ``contract_groups`` call; that call closes the links itself.  Label
 propagation contracts the same way: ``_lp_contract`` groups one pass's
 labels into clusters, refuses a pass that would leave a single vertex, and
-hands the clusters to ``_contract`` as links.  The three two-pin rules are
-tests over one marked pass, ``_pair_scan``, which walks the two-pin pairs
-in edge order and links each pair its rule's test accepts.  The driver, not
-the rule, records each call's effect in ``round_stats``.
+hands the clusters to ``_contract`` as links.  ``heavy-overlap`` and
+``imbalanced-vertex`` are tests over ``_incidence_scan``, the triangle and
+neighbourhood rules over the marked ``_pair_scan`` of the two-pin pairs.
+The driver, not the rule, records each call's effect in ``round_stats``.
 
 No pass checks the input's connectivity.  Every link lies inside one
 hyperedge or joins a pair that shares one, and label propagation spreads
@@ -36,10 +36,8 @@ finds disconnected.
 
 No rule compacts the input.  Weighted degrees ignore one-pin edges, so the
 first bound is a cut value.  ``heavy-edge`` reads parallel edges one by
-one, but ``heavy-overlap`` sums them, so it links the pins of parallel
-edges that reach the bound only together; the pair rules read two-pin
-edges through ``Hypergraph.two_pin_pairs``, which each hypergraph builds
-once, so a pair rule after one that changed nothing builds no new map.
+one; the incidence scan sums them.  The pair rules read the two-pin pairs
+from ``Hypergraph.two_pin_pairs``, which each hypergraph builds once.
 Every ``contract_groups`` rebuild compacts, and ``_solve_residual``
 compacts an input that no rule changed.  An input that ``heavy-edge``
 alone collapses costs one rebuild.
@@ -214,7 +212,7 @@ def rule_heavy_edge(state: PipelineState) -> bool:
     state as the last whole step left it.
     """
     applied = False
-    while state.upper_bound > 0 and state.current.vertex_count > 1:
+    while state.current.vertex_count > 1:
         _check_deadline(state)
         bound = state.upper_bound
         heavy = [pins for pins, w in state.current.edges() if w >= bound and len(pins) > 1]
@@ -224,38 +222,43 @@ def rule_heavy_edge(state: PipelineState) -> bool:
     return applied
 
 
-def rule_heavy_overlap(state: PipelineState) -> bool:
-    """Contract vertex pairs whose shared incident weight reaches the bound.
-
-    If a cut separated such a pair it would cut every shared hyperedge, so
-    it could not improve on the bound.  Larger overlapping sets collapse
-    over successive rounds through cascaded pair contractions.  The
-    deadline is checked after every 4,096 scanned pins, before anything
-    changes.
-    """
-    bound = state.upper_bound
-    if bound <= 0:
-        return False
+def _incidence_scan(state: PipelineState, test: Callable[..., bool]) -> bool:
+    """Contract every pair ``u < v`` that ``test(u, v, c, w2)`` accepts:
+    ``c`` sums the edges holding both, ``w2`` the two-pin ``uv`` edges.  No
+    vertex is marked.  The deadline is checked after every 4,096 scanned
+    pins, before anything changes."""
     h = state.current
+    edges = list(h.edges())
     links = []
-    shared: dict = {}
     scanned = 0
     for u in range(h.vertex_count):
-        shared.clear()
+        shared, two = {}, {}
         for eid in h.incident(u):
-            w = h.weight(eid)
-            pins = h.pins(eid)
+            pins, w = edges[eid]
             scanned += len(pins)
             if scanned >= 4096:
                 _check_deadline(state)
                 scanned = 0
-            for v in pins:
-                if v > u:
-                    shared[v] = shared.get(v, 0) + w
-        for v, total in shared.items():
-            if total >= bound:
+            if len(pins) > 2:
+                for v in pins:
+                    if v > u:
+                        shared[v] = shared.get(v, 0) + w
+            elif pins[-1] != u:  # pins are sorted: a two-pin edge to v > u
+                v = pins[-1]
+                two[v] = two.get(v, 0) + w
+                shared[v] = shared.get(v, 0) + w
+        for v, c in shared.items():
+            if test(u, v, c, two.get(v, 0)):
                 links.append((u, v))
     return _contract(state, links)
+
+
+def rule_heavy_overlap(state: PipelineState) -> bool:
+    """Contract vertex pairs whose shared edge weight reaches the bound: a
+    cut separating such a pair cuts every shared edge, so it cannot beat
+    the bound.  Larger overlapping sets collapse over successive rounds."""
+    bound = state.upper_bound
+    return _incidence_scan(state, lambda u, v, c, w2: c >= bound)
 
 
 def _pair_scan(state: PipelineState, test: Callable[..., bool]) -> bool:
@@ -284,16 +287,16 @@ def _pair_scan(state: PipelineState, test: Callable[..., bool]) -> bool:
 
 
 def rule_imbalanced_vertex(state: PipelineState) -> bool:
-    """Contract a two-pin edge that outweighs half of an endpoint's degree.
-
-    The inequality must be strict: two equal-weight edges sharing a pin can
-    otherwise both qualify through that pin, and contracting them together
-    assumes the shared vertex sits on both sides of a cut at once.  Each
-    vertex joins at most one contraction per pass.  Parallel two-pin edges
-    are tested as one.
+    """Contract a pair joined by two-pin edges when ``c + w2 > d(u)`` for an
+    endpoint ``u`` (``c`` and ``w2`` as in ``_incidence_scan``).  Moving
+    ``u`` across a cut that separates the pair newly cuts at most
+    ``d(u) - c`` and uncuts the two-pin edges, so the cut gets strictly
+    cheaper unless it is ``{u}``, which the bound holds.  That holds for
+    every pair at once, so nothing is marked.  At equality a separating cut
+    may tie, and tied pairs sharing a vertex can lose every minimum cut.
     """
     wdeg = state.current.weighted_degrees()
-    return _pair_scan(state, lambda u, v, w_uv, nu, nv: wdeg[u] < 2 * w_uv or wdeg[v] < 2 * w_uv)
+    return _incidence_scan(state, lambda u, v, c, w2: w2 > 0 and c + w2 > min(wdeg[u], wdeg[v]))
 
 
 def rule_imbalanced_triangle(state: PipelineState) -> bool:
@@ -305,9 +308,8 @@ def rule_imbalanced_triangle(state: PipelineState) -> bool:
     endpoints leaves one of them apart from the triangle's third vertex;
     moving that endpoint across uncuts both of its triangle edges, so the
     cut does not get dearer.  Either endpoint may be the one apart, so the
-    test must hold for both.
-    Only trivial cuts can be lost, and those are already folded into the
-    running bound.
+    test must hold for both.  Only trivial cuts can be lost, and those are
+    already folded into the running bound.
     """
     wdeg = state.current.weighted_degrees()
 
@@ -322,15 +324,10 @@ def rule_imbalanced_triangle(state: PipelineState) -> bool:
 
 def rule_heavy_neighborhood(state: PipelineState) -> bool:
     """Contract a two-pin edge whose weight plus the cheaper-side weights of
-    all common two-pin neighbors reaches the bound.
-
-    A cut separating the endpoints would also cut one edge of each common
-    neighbor, so it could not beat the bound.  Per-pass vertex marking, as
-    above.
-    """
+    all common two-pin neighbors reaches the bound: a cut separating the
+    endpoints would also cut one edge of each common neighbor, so it could
+    not beat the bound.  Per-pass vertex marking, as above."""
     bound = state.upper_bound
-    if bound <= 0:
-        return False
 
     def test(u, v, w_uv, nu, nv):
         total = w_uv

@@ -107,9 +107,9 @@ def equality_case_instance() -> Hypergraph:
 
 
 def loose_imbalanced_vertex(state) -> bool:
-    """The imbalanced-vertex rule without its two safeguards: a two-pin edge
-    contracts when twice its weight merely reaches an endpoint's degree, and
-    no vertex is marked, so two equal edges sharing a pin both contract.
+    """The non-strict, unmarked two-pin variant of the imbalanced-vertex
+    rule: a two-pin edge contracts when twice its weight merely reaches an
+    endpoint's degree, so two equal edges sharing a pin both contract.
     ``equality_case_instance`` shows that this variant is not exact."""
     wdeg = state.current.weighted_degrees()
     links = [

@@ -21,6 +21,9 @@ from hgcut import (
 from hgcut.hgraph import storage_nbytes
 from hgcut.reduce import (
     RULE_ORDER,
+    _contract,
+    _incidence_scan,
+    _pair_scan,
     _reduce_rounds,
     _solve_residual,
     initial_state,
@@ -66,14 +69,17 @@ def test_every_rule_checks_the_deadline_inside_its_scan(rule):
     check_expired_deadline(unit_clique(100), rule)
 
 
+def value_after(state):
+    """min(bound, mincut(reduced)): the input's minimum cut while every
+    rule applied so far was exact."""
+    if state.current.vertex_count >= 2:
+        return min(state.upper_bound, brute_mincut(state.current).value)
+    return state.upper_bound
+
+
 def check_exact(h, state):
     """min(bound, mincut(reduced)) must equal mincut(input)."""
-    truth = brute_mincut(h).value
-    if state.current.vertex_count >= 2:
-        got = min(state.upper_bound, brute_mincut(state.current).value)
-    else:
-        got = state.upper_bound
-    assert got == truth
+    assert value_after(state) == brute_mincut(h).value
 
 
 class TestUpperBound:
@@ -207,6 +213,15 @@ class TestRuleImbalancedVertex:
         state = make_state(h)
         assert not rule_imbalanced_vertex(state)
 
+    def test_shared_three_pin_edge_counts(self):
+        # vertex 0 has degree 2; the three-pin edge adds to c(0, 1) = 2, so
+        # c + w2 = 3 > 2, though the two-pin edge alone is half the degree
+        h = Hypergraph(4, [[0, 1], [0, 1, 2], [1, 3], [2, 3]])
+        state = make_state(h)
+        assert rule_imbalanced_vertex(state)
+        assert state.current.vertex_count == 3
+        check_exact(h, state)
+
     def test_parallel_two_pin_edges_are_tested_as_one(self):
         # neither copy of {0, 1} outweighs half of a degree of 7; together
         # they do
@@ -289,8 +304,9 @@ class TestRuleHeavyNeighborhood:
 
 
 def test_two_pin_rules_build_one_pair_map_per_hypergraph(monkeypatch):
-    """The pair map is built once per hypergraph: where imbalanced-vertex
-    contracts nothing, the next two rules read the map it read."""
+    """The pair map is built once per hypergraph: where imbalanced-triangle
+    contracts nothing, heavy-neighborhood reads the map it read.
+    imbalanced-vertex scans the incidence lists and builds none."""
     calls = []  # (hypergraph, pair map) per call; keeps every graph alive
     two_pin_pairs = Hypergraph.two_pin_pairs
 
@@ -301,9 +317,11 @@ def test_two_pin_rules_build_one_pair_map_per_hypergraph(monkeypatch):
     monkeypatch.setattr(Hypergraph, "two_pin_pairs", spy)
     h = unit_cycle(8)  # no rule fires
     state = make_state(h)
-    for rule in (rule_imbalanced_vertex, rule_imbalanced_triangle, rule_heavy_neighborhood):
+    assert not rule_imbalanced_vertex(state)
+    assert calls == []
+    for rule in (rule_imbalanced_triangle, rule_heavy_neighborhood):
         assert not rule(state)
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert all(g is h and maps is calls[0][1] for g, maps in calls)
 
     for seed in range(20):
@@ -501,17 +519,101 @@ def dense_weighted_instance(seed):
     return Hypergraph(n, edges, [rng.randint(1, rng.choice((3, 10, 100))) for _ in edges])
 
 
+# a unit multigraph on which the triangle rule over an unmarked pair scan
+# gives 4 against a true 3
+TRIANGLE_MARKING_CASE = Hypergraph(
+    5, [[1, 3], [1, 2], [1, 0], [3, 4], [4, 3], [0, 2], [0, 2], [0, 2], [4, 1], [2, 3], [3, 4], [2, 0]]
+)
+
+
+def exactness_inputs():
+    """The per-rule exactness inputs: the equality case, the triangle
+    marking case, a triangle with an isolated vertex (every rule then runs
+    at bound 0), and sparse random and dense weighted inputs for 150 seeds."""
+    yield equality_case_instance()
+    yield TRIANGLE_MARKING_CASE
+    yield Hypergraph(5, [[0, 1], [1, 2], [0, 2], [1, 2, 3]])
+    for seed in range(150):
+        yield random_instance(seed)
+        yield dense_weighted_instance(seed)
+
+
+def unmarked_pair_scan(state, test):
+    """``_pair_scan`` without its marking."""
+    pair_w, neighbors = state.current.two_pin_pairs()
+    return _contract(state, [(u, v) for (u, v), w in pair_w.items() if test(u, v, w, neighbors[u], neighbors[v])])
+
+
+def triangle_rule(accept, scan=_pair_scan):
+    """The triangle rule over ``scan``, accepting a pair when
+    ``accept(d(u), d(v), w_uv, w_ux, w_vx)`` holds at a common neighbour x."""
+
+    def rule(state):
+        wdeg = state.current.weighted_degrees()
+        return scan(
+            state,
+            lambda u, v, w, nu, nv: any(accept(wdeg[u], wdeg[v], w, nu[x], nv[x]) for x in nu.keys() & nv.keys()),
+        )
+
+    return rule
+
+
+def neighborhood_rule(side, slack):
+    """The heavy-neighborhood rule with ``side`` picking each common
+    neighbour's weight and the bound lowered by ``slack``."""
+
+    def rule(state):
+        bound = state.upper_bound - slack
+        return _pair_scan(
+            state, lambda u, v, w, nu, nv: w + sum(side(nu[x], nv[x]) for x in nu.keys() & nv.keys()) >= bound
+        )
+
+    return rule
+
+
+def non_strict_imbalanced_vertex(state):
+    wdeg = state.current.weighted_degrees()
+    return _incidence_scan(state, lambda u, v, c, w2: w2 > 0 and c + w2 >= min(wdeg[u], wdeg[v]))
+
+
+def triangle_test(du, dv, w, a, b):
+    return du <= 2 * (w + a) and dv <= 2 * (w + b)
+
+
+RULE_MUTANTS = {
+    "heavy-neighborhood-summing-max": neighborhood_rule(max, 0),
+    "heavy-neighborhood-at-bound-minus-1": neighborhood_rule(min, 1),
+    "heavy-overlap-at-bound-minus-1": lambda state: _incidence_scan(
+        state, lambda u, v, c, w2: c >= state.upper_bound - 1
+    ),
+    "triangle-test-with-or": triangle_rule(lambda du, dv, w, a, b: du <= 2 * (w + a) or dv <= 2 * (w + b)),
+    "triangle-test-reading-the-dearer-edge": triangle_rule(
+        lambda du, dv, w, a, b: triangle_test(du, dv, w, max(a, b), max(a, b))
+    ),
+    "pair-scan-without-marking": triangle_rule(triangle_test, unmarked_pair_scan),
+    "non-strict-imbalanced-vertex": non_strict_imbalanced_vertex,
+}
+
+
+@pytest.mark.parametrize("mutant", RULE_MUTANTS.values(), ids=RULE_MUTANTS.keys())
+def test_exactness_inputs_reject_every_rule_mutant(mutant):
+    """Each known wrong variant of a rule, run alone, loses the minimum cut
+    on at least one per-rule exactness input."""
+    for h in exactness_inputs():
+        state = make_state(h)
+        mutant(state)
+        if value_after(state) != brute_mincut(h).value:
+            return
+    pytest.fail("no exactness input rejects this mutant")
+
+
 class TestPerRuleExactness:
     def test_every_rule_preserves_mincut(self):
-        # the dense weighted inputs catch a heavy-neighborhood test that
-        # sums the dearer side, and a triangle test that reads the dearer
-        # triangle edge at both endpoints; the sparse ones do not
-        for seed in range(150):
-            for h in (random_instance(seed), dense_weighted_instance(seed)):
-                for name, rule in RULE_ORDER:
-                    state = make_state(h)
-                    rule(state)
-                    check_exact(h, state)
+        for h in exactness_inputs():
+            for name, rule in RULE_ORDER:
+                state = make_state(h)
+                rule(state)
+                check_exact(h, state)
 
     def test_contract_holds_after_every_application_in_a_run(self):
         for seed in range(50):
