@@ -170,12 +170,6 @@ class Hypergraph:
     def incident(self, v: int) -> Sequence[int]:
         return self._incidence_lists()[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._incidence_lists()[v])
-
-    def weighted_degree(self, v: int) -> Weight:
-        return self.weighted_degrees()[v]
-
     def weighted_degrees(self) -> list:
         """The weight of the cut isolating each vertex: one-pin edges do not count."""
         if self._wdeg is None:
@@ -210,16 +204,6 @@ class Hypergraph:
         if self._n == 0:
             raise ValueError("empty hypergraph has no vertex degrees")
         return min(self.weighted_degrees())
-
-    def min_degree(self) -> int:
-        if self._n == 0:
-            raise ValueError("empty hypergraph has no vertex degrees")
-        return min(map(len, self._incidence_lists()))
-
-    def max_degree(self) -> int:
-        if self._n == 0:
-            raise ValueError("empty hypergraph has no vertex degrees")
-        return max(map(len, self._incidence_lists()))
 
     def is_unweighted(self) -> bool:
         return all(w == 1 for w in self._weights)

@@ -23,9 +23,9 @@ overlap.  It hands them all to ``_contract``, which makes one
 propagation contracts the same way: ``_lp_contract`` groups one pass's
 labels into clusters, refuses a pass that would leave a single vertex, and
 hands the clusters to ``_contract`` as links.  ``heavy-overlap`` and
-``imbalanced-vertex`` are tests over ``_incidence_scan``, the triangle and
-neighbourhood rules over the marked ``_pair_scan`` of the two-pin pairs.
-The driver, not the rule, records each call's effect in ``round_stats``.
+``imbalanced-vertex`` are tests over ``_incidence_scan``, the triangle rule
+over the marked ``_pair_scan`` of the two-pin pairs.  The driver, not the
+rule, records each call's effect in ``round_stats``.
 
 No pass checks the input's connectivity.  Every link lies inside one
 hyperedge or joins a pair that shares one, and label propagation spreads
@@ -36,11 +36,11 @@ finds disconnected.
 
 No rule compacts the input.  Weighted degrees ignore one-pin edges, so the
 first bound is a cut value.  ``heavy-edge`` reads parallel edges one by
-one; the incidence scan sums them.  The pair rules read the two-pin pairs
-from ``Hypergraph.two_pin_pairs``, which each hypergraph builds once.
-Every ``contract_groups`` rebuild compacts, and ``_solve_residual``
-compacts an input that no rule changed.  An input that ``heavy-edge``
-alone collapses costs one rebuild.
+one; the incidence scan sums them.  ``heavy-overlap`` and the triangle rule
+read the two-pin pairs from ``Hypergraph.two_pin_pairs``, which each
+hypergraph builds once.  Every ``contract_groups`` rebuild compacts, and
+``_solve_residual`` compacts an input that no rule changed.  An input that
+``heavy-edge`` alone collapses costs one rebuild.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ __all__ = [
     "rule_heavy_overlap",
     "rule_imbalanced_vertex",
     "rule_imbalanced_triangle",
-    "rule_heavy_neighborhood",
     "run_pipeline",
     "run_pipeline_detailed",
 ]
@@ -199,7 +198,7 @@ def _contract(state: PipelineState, links: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-# -- the five rules -----------------------------------------------------------
+# -- the four rules -----------------------------------------------------------
 
 
 def rule_heavy_edge(state: PipelineState) -> bool:
@@ -254,11 +253,31 @@ def _incidence_scan(state: PipelineState, test: Callable[..., bool]) -> bool:
 
 
 def rule_heavy_overlap(state: PipelineState) -> bool:
-    """Contract vertex pairs whose shared edge weight reaches the bound: a
-    cut separating such a pair cuts every shared edge, so it cannot beat
-    the bound.  Larger overlapping sets collapse over successive rounds."""
+    """Contract a pair when ``c + N(u, v)`` reaches the bound, with ``c`` as
+    in ``_incidence_scan`` and ``N(u, v)`` the sum of ``min(w(ux), w(vx))``
+    over the common two-pin neighbours ``x`` of a pair with ``w2 > 0``
+    (Padberg-Rinaldi test 4).  A cut separating the pair cuts every edge
+    holding both and, for each such ``x``, ``ux`` or ``vx``; these edges are
+    all distinct, so no such cut beats the bound.  That holds for every
+    pair at once, so nothing is marked.  ``N`` is summed only when ``c``
+    falls short; the deadline is checked after every 4,096 of its
+    neighbour entries, before anything changes."""
     bound = state.upper_bound
-    return _incidence_scan(state, lambda u, v, c, w2: c >= bound)
+    neighbors = state.current.two_pin_pairs()[1]
+    scanned = 0
+
+    def test(u, v, c, w2):
+        nonlocal scanned
+        if c >= bound or not w2:
+            return c >= bound
+        nu, nv = neighbors[u], neighbors[v]
+        scanned += min(len(nu), len(nv))
+        if scanned >= 4096:
+            _check_deadline(state)
+            scanned = 0
+        return c + sum(min(nu[x], nv[x]) for x in nu.keys() & nv.keys()) >= bound
+
+    return _incidence_scan(state, test)
 
 
 def _pair_scan(state: PipelineState, test: Callable[..., bool]) -> bool:
@@ -322,28 +341,11 @@ def rule_imbalanced_triangle(state: PipelineState) -> bool:
     return _pair_scan(state, test)
 
 
-def rule_heavy_neighborhood(state: PipelineState) -> bool:
-    """Contract a two-pin edge whose weight plus the cheaper-side weights of
-    all common two-pin neighbors reaches the bound: a cut separating the
-    endpoints would also cut one edge of each common neighbor, so it could
-    not beat the bound.  Per-pass vertex marking, as above."""
-    bound = state.upper_bound
-
-    def test(u, v, w_uv, nu, nv):
-        total = w_uv
-        for x in nu.keys() & nv.keys():
-            total += min(nu[x], nv[x])
-        return total >= bound
-
-    return _pair_scan(state, test)
-
-
 RULE_ORDER: Tuple[Tuple[str, Callable[[PipelineState], bool]], ...] = (
     ("heavy-edge", rule_heavy_edge),
     ("heavy-overlap", rule_heavy_overlap),
     ("imbalanced-vertex", rule_imbalanced_vertex),
     ("imbalanced-triangle", rule_imbalanced_triangle),
-    ("heavy-neighborhood", rule_heavy_neighborhood),
 )
 
 

@@ -132,13 +132,13 @@ class TestSolve:
         assert certificate["value"] == 2 == cut_value(h, certificate["block"])
 
     def test_pipeline_timeout_keeps_its_state(self, capsys, tmp_path, monkeypatch):
-        # reduction makes six deadline checks on a cycle; the tenth lands
+        # reduction makes five deadline checks on a cycle; the tenth lands
         # inside the binary program's root LP
         path = tmp_path / "cycle.hgr"
         save_hypergraph(unit_cycle(60), path)
         argv = ["solve", str(path), "--solver", "bip"]
         _, finished = run_record(capsys, argv)
-        assert len(finished["round_stats"]) == 5
+        assert len(finished["round_stats"]) == 4
         monkeypatch.setattr("hgcut.reduce.Deadline", lambda seconds: ExpiresOnCheck(10))
         code, record = run_record(capsys, argv)
         assert (code, record["status"], record["value"]) == (0, "timeout-with-incumbent", 2)

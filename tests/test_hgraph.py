@@ -44,15 +44,16 @@ class TestBuild:
 
     def test_degree_queries(self):
         h = Hypergraph(3, [[0, 1], [1, 2], [0, 1, 2]], [2, 3, 5])
-        assert h.degree(1) == 3
-        assert h.weighted_degree(1) == 10
-        assert h.min_degree() == 2
-        assert h.max_degree() == 3
+        degrees = [len(h.incident(v)) for v in range(h.vertex_count)]
+        assert degrees[1] == 3
+        assert h.weighted_degrees()[1] == 10
+        assert min(degrees) == 2
+        assert max(degrees) == 3
         assert h.min_weighted_degree() == 7
 
     def test_incidence_consistent_with_pin_count(self):
         h = random_instance(11)
-        assert sum(h.degree(v) for v in range(h.vertex_count)) == h.pin_count
+        assert sum(len(h.incident(v)) for v in range(h.vertex_count)) == h.pin_count
 
 
 class TestContract:

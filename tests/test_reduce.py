@@ -28,7 +28,6 @@ from hgcut.reduce import (
     _solve_residual,
     initial_state,
     rule_heavy_edge,
-    rule_heavy_neighborhood,
     rule_heavy_overlap,
     rule_imbalanced_triangle,
     rule_imbalanced_vertex,
@@ -194,6 +193,45 @@ class TestRuleHeavyOverlap:
         assert make_state(h).upper_bound == 7
         check_expired_deadline(h, rule_heavy_overlap)
 
+    def test_shared_edges_and_common_neighbours_add_up(self):
+        # (0, 1) shares c = 2 and has the common neighbour 2 (N = 1): alone
+        # neither reaches the bound of 3, together they do
+        h = Hypergraph(5, [[0, 1], [0, 1, 3], [0, 2], [1, 2], [2, 4], [3, 4], [3, 4], [2, 4]])
+        state = make_state(h)
+        assert state.upper_bound == 3
+        assert rule_heavy_overlap(state)
+        assert state.current.vertex_count == 4
+        check_exact(h, state)
+
+    def test_common_neighbor_reaches_bound(self):
+        h = Hypergraph(4, [[0, 1], [0, 2], [1, 2], [2, 3], [0, 3]])
+        state = make_state(h)
+        assert state.upper_bound == 2
+        assert rule_heavy_overlap(state)
+        check_exact(h, state)
+
+    def test_no_common_neighbors_below_bound(self):
+        h = Hypergraph(4, [[0, 1], [1, 2], [2, 3], [0, 3]], [1, 2, 1, 2])
+        state = make_state(h)
+        assert state.upper_bound == 3
+        assert not rule_heavy_overlap(state)
+
+    def test_heavy_edge_alone_also_qualifies(self):
+        h = Hypergraph(3, [[0, 1], [1, 2]], [2, 2])
+        state = make_state(h)
+        assert state.upper_bound == 2
+        assert rule_heavy_overlap(state)
+        check_exact(h, state)
+
+    def test_deadline_checked_inside_the_neighbour_sums(self):
+        # every pair of a unit 100-clique sums 98 common neighbours to reach
+        # the bound of 99; the incidence scan alone checks 4 times
+        state = make_state(unit_clique(100))
+        state.deadline = ExpiresOnCheck(float("inf"))
+        assert rule_heavy_overlap(state)
+        assert state.deadline.checks >= 100
+        assert state.current.vertex_count == 1
+
 
 class TestRuleImbalancedVertex:
     def test_light_endpoint_contracts(self):
@@ -277,35 +315,9 @@ class TestRuleImbalancedTriangle:
         check_expired_deadline(unit_clique(100), rule_imbalanced_triangle)
 
 
-class TestRuleHeavyNeighborhood:
-    def test_common_neighbor_reaches_bound(self):
-        h = Hypergraph(4, [[0, 1], [0, 2], [1, 2], [2, 3], [0, 3]])
-        state = make_state(h)
-        assert state.upper_bound == 2
-        assert rule_heavy_neighborhood(state)
-        check_exact(h, state)
-
-    def test_no_common_neighbors_below_bound(self):
-        h = Hypergraph(4, [[0, 1], [1, 2], [2, 3], [0, 3]], [1, 2, 1, 2])
-        state = make_state(h)
-        assert state.upper_bound == 3
-        assert not rule_heavy_neighborhood(state)
-
-    def test_heavy_edge_alone_also_qualifies(self):
-        h = Hypergraph(3, [[0, 1], [1, 2]], [2, 2])
-        state = make_state(h)
-        assert state.upper_bound == 2
-        assert rule_heavy_neighborhood(state)
-        check_exact(h, state)
-
-    def test_expired_deadline_inside_the_pair_scan(self):
-        # every unmarked pair of a unit 100-clique qualifies
-        check_expired_deadline(unit_clique(100), rule_heavy_neighborhood)
-
-
 def test_two_pin_rules_build_one_pair_map_per_hypergraph(monkeypatch):
-    """The pair map is built once per hypergraph: where imbalanced-triangle
-    contracts nothing, heavy-neighborhood reads the map it read.
+    """The pair map is built once per hypergraph: where heavy-overlap
+    contracts nothing, imbalanced-triangle reads the map it read.
     imbalanced-vertex scans the incidence lists and builds none."""
     calls = []  # (hypergraph, pair map) per call; keeps every graph alive
     two_pin_pairs = Hypergraph.two_pin_pairs
@@ -319,7 +331,7 @@ def test_two_pin_rules_build_one_pair_map_per_hypergraph(monkeypatch):
     state = make_state(h)
     assert not rule_imbalanced_vertex(state)
     assert calls == []
-    for rule in (rule_imbalanced_triangle, rule_heavy_neighborhood):
+    for rule in (rule_heavy_overlap, rule_imbalanced_triangle):
         assert not rule(state)
     assert len(calls) == 2
     assert all(g is h and maps is calls[0][1] for g, maps in calls)
@@ -558,15 +570,22 @@ def triangle_rule(accept, scan=_pair_scan):
     return rule
 
 
-def neighborhood_rule(side, slack):
-    """The heavy-neighborhood rule with ``side`` picking each common
-    neighbour's weight and the bound lowered by ``slack``."""
+def overlap_rule(side, slack):
+    """The heavy-overlap rule with ``side`` picking each common neighbour's
+    weight, and the neighbour term tested against the bound lowered by
+    ``slack``."""
 
     def rule(state):
-        bound = state.upper_bound - slack
-        return _pair_scan(
-            state, lambda u, v, w, nu, nv: w + sum(side(nu[x], nv[x]) for x in nu.keys() & nv.keys()) >= bound
-        )
+        bound = state.upper_bound
+        neighbors = state.current.two_pin_pairs()[1]
+
+        def test(u, v, c, w2):
+            if c >= bound or not w2:
+                return c >= bound
+            nu, nv = neighbors[u], neighbors[v]
+            return c + sum(side(nu[x], nv[x]) for x in nu.keys() & nv.keys()) >= bound - slack
+
+        return _incidence_scan(state, test)
 
     return rule
 
@@ -581,8 +600,8 @@ def triangle_test(du, dv, w, a, b):
 
 
 RULE_MUTANTS = {
-    "heavy-neighborhood-summing-max": neighborhood_rule(max, 0),
-    "heavy-neighborhood-at-bound-minus-1": neighborhood_rule(min, 1),
+    "neighbour-term-summing-max": overlap_rule(max, 0),
+    "neighbour-term-at-bound-minus-1": overlap_rule(min, 1),
     "heavy-overlap-at-bound-minus-1": lambda state: _incidence_scan(
         state, lambda u, v, c, w2: c >= state.upper_bound - 1
     ),
